@@ -34,7 +34,6 @@ from .coefficients import (
 from .core import Dyadic, digit_sum, format_rational, parse_rational, thue_morse_sign, val2
 from .exact import (
     TaylorPolynomial,
-    ThetaPoint,
     as_dyadic,
     level_denominator_bound,
     phi_derivative,
@@ -42,7 +41,6 @@ from .exact import (
     phi_exact_raw,
     taylor_at,
     theta_exact,
-    theta_point,
 )
 from .spectral import (
     DEFAULT_FOURIER_K,
@@ -84,8 +82,6 @@ __all__ = [
     "phi_exact",
     "phi_exact_raw",
     "theta_exact",
-    "theta_point",
-    "ThetaPoint",
     "phi_derivative",
     "taylor_at",
     "TaylorPolynomial",

@@ -71,20 +71,23 @@ def level_values(n: int) -> list[Fraction]:
     return [phi_exact(Dyadic(q, n)) for q in range((1 << n) + 1)]
 
 
+def _level(n: int) -> tuple[list[Fraction], int]:
+    """The level-n grid values and their minimal common denominator."""
+    values = level_values(n)
+    return values, lcm(*(v.denominator for v in values))
+
+
 def level_denominator(n: int) -> int:
     """Minimal common denominator of the level-n grid values."""
-    d = 1
-    for v in level_values(n):
-        d = lcm(d, v.denominator)
-    return d
+    return _level(n)[1]
 
 
 def render_table(n: int) -> list[str]:
     """Rows ``q<TAB>D*phi(q/2^n)<TAB>phi(q/2^n)`` with D the minimal level denominator."""
-    values = level_values(n)
-    d = 1
-    for v in values:
-        d = lcm(d, v.denominator)
+    return _table_rows(*_level(n))
+
+
+def _table_rows(values: list[Fraction], d: int) -> list[str]:
     return [
         f"{q}\t{_as_int(v * d)}\t{format_rational(v)}" for q, v in enumerate(values)
     ]
@@ -157,10 +160,11 @@ def _cmd_table(args) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
-    lines = render_table(args.n)
+    values, d = _level(args.n)
+    lines = _table_rows(values, d)
     payload = {
         "level": args.n,
-        "denominator": str(level_denominator(args.n)),
+        "denominator": str(d),
         "rows": [line.split("\t") for line in lines],
     }
     _emit(args, "table", payload, lines)
@@ -255,7 +259,13 @@ def _cmd_selftest(args) -> int:
     if args.json:
         results = run_all(emit=lambda line: None)
         payload = [
-            {"index": r.index, "name": r.name, "passed": r.passed, "detail": r.detail}
+            {
+                "index": r.index,
+                "name": r.name,
+                "passed": r.passed,
+                "detail": r.detail,
+                "elapsed_s": r.elapsed,
+            }
             for r in results
         ]
         print(json.dumps({"mode": "selftest", "payload": payload}))

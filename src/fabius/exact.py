@@ -9,10 +9,20 @@ is the finite double sum
                  * (2(q-h) + 2^(n+1) - 1)^(n-2k) * phi(1 - 2^-(2k+1))
 
 with s(h) the binary digit sum and phi(1 - 2^-(2k+1)) taken from the exact
-coefficient tables.  :func:`phi_exact_raw` evaluates that sum literally and
-is kept as a differential-testing twin; :func:`phi_exact` first folds the
-argument by evenness and by the reflection phi(t) = 1 - phi(1-t), then runs
-an integer-accumulator version of the same sum and memoizes the result.
+coefficient tables.  :func:`phi_exact_raw` evaluates that sum literally, in
+O(2^n * n) steps, and is kept as a differential-testing twin.
+
+:func:`phi_exact` folds the argument by evenness and by the reflection
+phi(t) = 1 - phi(1-t) into [0, 1/2], memoizes per canonical point, and
+evaluates the sum in blocks.  The range of h splits along the set bits of its
+upper limit into at most n+1 aligned blocks [a, a + 2^m), on which the sign
+factors as (-1)^s(a) (-1)^s(h - a).  A block's sum of (y - 2h)^j is then a
+polynomial in y whose coefficients are the Thue-Morse power sums
+P_m(i) = sum_{h<2^m} (-1)^s(h) h^i, and these vanish for i < m (Prouhet).
+Per level the weights and power sums fold into one integer polynomial per
+block size, over a common denominator, so a point costs one Horner
+evaluation per block and a single Fraction: O(n^2) bigint steps once the
+level's O(n^3) polynomials exist.
 
 All derivatives reduce to theta(t) = sum_k (-1)^s(k) phi(t - 2k - 1), whose
 translates have disjoint open supports: phi^(k)(t) = 2^C(k+1,2) theta(2^k t + 2^k).
@@ -20,10 +30,11 @@ translates have disjoint open supports: phi^(k)(t) = 2^C(k+1,2) theta(2^k t + 2^
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from .coefficients import phi_near_one
 from .core import Dyadic, thue_morse_sign
@@ -33,8 +44,6 @@ __all__ = [
     "phi_exact",
     "phi_exact_raw",
     "theta_exact",
-    "theta_point",
-    "ThetaPoint",
     "phi_derivative",
     "taylor_at",
     "TaylorPolynomial",
@@ -78,29 +87,82 @@ def phi_exact_raw(q: int, n: int) -> Fraction:
     return total
 
 
+# Thue-Morse power sums P_m(i) = sum_{h<2^m} (-1)^s(h) h^i, extend-only and
+# shared by every level: _POWER_SUMS[m][i] for m, i below len(_POWER_SUMS).
+_POWER_SUMS: list[list[int]] = [[1]]
+_POWER_SUMS_LOCK = threading.Lock()
+
+
+def _power_sums(size: int) -> list[list[int]]:
+    """The power-sum table grown to at least ``size`` rows and columns.
+
+    Splitting h < 2^(m+1) into its lower and upper halves gives
+    P_{m+1}(i) = P_m(i) - sum_l C(i,l) 2^(m(i-l)) P_m(l), and P_m(l) = 0 for
+    l < m (Prouhet), so the sum starts at l = m.
+    """
+    with _POWER_SUMS_LOCK:
+        table = _POWER_SUMS
+        if len(table) < size:
+            table[0].extend([0] * (size - len(table[0])))
+            for m in range(1, size):
+                if m == len(table):
+                    table.append([0] * m)
+                prev, row, s = table[m - 1], table[m], m - 1
+                for i in range(len(row), size):
+                    row.append(prev[i] - sum(
+                        comb(i, l) * prev[l] << s * (i - l) for l in range(s, i + 1)
+                    ))
+        return table
+
+
+@lru_cache(maxsize=32)  # a level grid reaches every coarser level too
+def _level_plan(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Common denominator D of level n and one integer polynomial per block size.
+
+    ``blocks[m]`` lists, highest power first, the coefficients of
+    D * sum_k w_k * sum_{h<2^m} (-1)^s(h) (y - 2h)^(n-2k) as a polynomial in y,
+    where w_k is the weight of exponent n - 2k.  Expanding the binomial leaves
+    C(j,i) (-2)^i P_m(i) y^(j-i), and only i >= m survive.
+    """
+    d = level_denominator_bound(n)
+    weights = [(_weight(n, k) * d).numerator for k in range(n // 2 + 1)]
+    sums = _power_sums(n + 1)
+    blocks = []
+    for m in range(n + 1):
+        row = sums[m]
+        coeffs = []
+        for e in range(n - m, -1, -1):
+            c = 0
+            for k, w in enumerate(weights):
+                j = n - 2 * k
+                i = j - e
+                if i < m:
+                    break
+                c += (-w if i & 1 else w) * comb(j, e) * row[i] << i
+            coeffs.append(c)
+        blocks.append(tuple(coeffs))
+    return d, tuple(blocks)
+
+
 @lru_cache(maxsize=None)
 def _phi_folded(q: int, n: int) -> Fraction:
-    # canonical q odd (or q == 0, n == 0), 0 <= q/2^n <= 1/2
-    half = n // 2
-    acc = [0] * (half + 1)
-    big = (1 << (n + 1)) - 1
-    jmin = n - 2 * half  # 0 or 1
-    for h in range(q + (1 << n)):
-        base = 2 * (q - h) + big
-        sq = base * base
-        p = base if jmin else 1
-        if h.bit_count() & 1:
-            for k in range(half, -1, -1):
-                acc[k] -= p
-                p *= sq
-        else:
-            for k in range(half, -1, -1):
-                acc[k] += p
-                p *= sq
-    total = Fraction(0)
-    for k in range(half + 1):
-        total += _weight(n, k) * acc[k]
-    return total
+    # canonical q odd (or q == 0, n == 0), 0 <= q/2^n <= 1/2.  The sum over
+    # h < top = q + 2^n of (-1)^s(h) (2 top - 1 - 2h)^j splits along the set
+    # bits of top into aligned blocks [start, start + 2^m), where
+    # s(start + h') = s(start) + s(h').
+    d, blocks = _level_plan(n)
+    top = q + (1 << n)
+    total = 0
+    start = 0
+    for m in range(n, -1, -1):
+        if top >> m & 1:
+            y = 2 * (top - start) - 1
+            v = 0
+            for c in blocks[m]:
+                v = v * y + c
+            total += -v if start.bit_count() & 1 else v
+            start += 1 << m
+    return Fraction(total, d)
 
 
 def phi_exact(t: Dyadic | int | Fraction) -> Fraction:
@@ -146,19 +208,6 @@ def theta_exact(t: Dyadic | int | Fraction) -> Fraction:
     inner = Dyadic(t.num - ((2 * k + 1) << t.exp), t.exp)
     value = phi_exact(inner)
     return -value if k.bit_count() & 1 else value
-
-
-@dataclass(frozen=True)
-class ThetaPoint:
-    """A dyadic point paired with its exact theta value."""
-
-    t: Dyadic
-    value: Fraction
-
-
-def theta_point(t: Dyadic | int | Fraction) -> ThetaPoint:
-    t = as_dyadic(t)
-    return ThetaPoint(t=t, value=theta_exact(t))
 
 
 def phi_derivative(k: int, t: Dyadic | int | Fraction) -> Fraction:

@@ -50,7 +50,10 @@ class CriterionResult:
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"{status} criterion {self.index}: {self.name} ({self.detail})"
+        return (
+            f"{status} criterion {self.index}: {self.name} ({self.detail})"
+            f" [{self.elapsed:.3f}s]"
+        )
 
 
 def _result(index, name, start, passed, detail) -> CriterionResult:

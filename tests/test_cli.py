@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from fabius.cli import main
+from fabius.coefficients import phi_near_one
 from fabius.core import Dyadic, parse_rational
+from fabius.exact import phi_derivative, phi_exact
 
 GOLDEN = Path(__file__).parent / "data" / "table_n5_golden.txt"
 
@@ -115,6 +117,36 @@ class TestDerivAndTaylor:
         assert values == ["1/2", "2", "0"]
 
 
+class TestDeepLevels:
+    # the literal double sum would need 2^40 terms per point here
+    T = Dyadic(1, 40)
+
+    def test_eval(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "1", "40")
+        assert code == 0
+        value = parse_rational(out.splitlines()[0])
+        assert value == 1 - phi_near_one(40)
+        assert value + phi_exact(self.T - 1) == 1
+        num, den = out.splitlines()[1].split("/")
+        assert Fraction(int(num), int(den)) == value
+
+    def test_deriv(self, capsys):
+        code, out, _ = run_cli(capsys, "deriv", "2", "1", "40")
+        assert code == 0
+        doubled = self.T.mul_pow2(1)
+        rhs = 4 * (phi_derivative(1, doubled + 1) - phi_derivative(1, doubled - 1))
+        assert parse_rational(out.strip()) == rhs
+
+    def test_taylor(self, capsys):
+        code, out, _ = run_cli(capsys, "taylor", "1", "40", "2")
+        assert code == 0
+        coeffs = [parse_rational(line.split("\t")[1]) for line in out.splitlines()]
+        doubled = self.T.mul_pow2(1)
+        assert coeffs[0] == 1 - phi_near_one(40)
+        assert coeffs[1] == 2 * (phi_exact(doubled + 1) - phi_exact(doubled - 1))
+        assert coeffs[2] == phi_derivative(2, self.T) / 2
+
+
 class TestApprox:
     def test_csv_roundtrip(self, capsys):
         code, out, _ = run_cli(capsys, "approx", "2")
@@ -188,7 +220,19 @@ class TestSelftest:
         monkeypatch.setattr(st, "all_criteria", lambda: (self._fake(1, True),))
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
-        assert out.splitlines() == ["PASS criterion 1: fake 1 (stub)"]
+        assert out.splitlines() == ["PASS criterion 1: fake 1 (stub) [0.000s]"]
+
+    def test_json_reports_elapsed(self, capsys, monkeypatch):
+        import fabius.selftest as st
+
+        monkeypatch.setattr(st, "all_criteria", lambda: (self._fake(1, True),))
+        code, out, _ = run_cli(capsys, "--json", "selftest")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload == [
+            {"index": 1, "name": "fake 1", "passed": True, "detail": "stub",
+             "elapsed_s": 0.0}
+        ]
 
     def test_exit_two_on_any_failure(self, capsys, monkeypatch):
         import fabius.selftest as st

@@ -1,19 +1,21 @@
 """Exact dyadic evaluation: phi, theta, derivatives, Taylor data."""
 
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from fabius.core import Dyadic
+from fabius.coefficients import phi_near_one
+from fabius.core import Dyadic, thue_morse_sign
 from fabius.exact import (
+    _power_sums,
     level_denominator_bound,
     phi_derivative,
     phi_exact,
     phi_exact_raw,
     taylor_at,
     theta_exact,
-    theta_point,
 )
 
 GOLDEN_LEVEL5 = (
@@ -89,6 +91,55 @@ class TestRawFormula:
         with pytest.raises(ValueError):
             phi_exact_raw(4, 2)
 
+    def test_sampled_points_levels_7_8(self):
+        rng = random.Random(7)
+        for n in (7, 8):
+            for q in rng.sample(range(-(1 << n) + 1, 1 << n), 12):
+                assert phi_exact_raw(q, n) == phi_exact(Dyadic(q, n)), (q, n)
+
+
+class TestBlockEvaluator:
+    def test_power_sums_against_brute_force(self):
+        table = _power_sums(8)
+        for m in range(8):
+            for i in range(8):
+                brute = sum(thue_morse_sign(h) * h**i for h in range(1 << m))
+                assert table[m][i] == brute, (m, i)
+                if i < m:
+                    assert brute == 0
+            lead = (-1) ** m * factorial(m) * (1 << (m * (m - 1) // 2))
+            assert table[m][m] == lead
+
+    @staticmethod
+    def _deep_points():
+        rng = random.Random(2040)
+        points = [(rng.randrange(1, 1 << n, 2), n) for n in range(20, 41)]
+        return points + [(rng.randrange(1, 1 << 64, 2), 64)]
+
+    def test_reflection_and_evenness_at_deep_levels(self):
+        for q, n in self._deep_points():
+            t = Dyadic(q, n)
+            value = phi_exact(t)
+            assert 0 < value < 1
+            assert value + phi_exact(t - 1) == 1
+            assert phi_exact(-t) == value
+
+    def test_functional_equation_at_deep_levels(self):
+        for q, n in self._deep_points():
+            t = Dyadic(q, n)
+            doubled = t.mul_pow2(1)
+            rhs = 2 * (phi_exact(doubled + 1) - phi_exact(doubled - 1))
+            assert phi_derivative(1, t) == rhs
+
+    def test_cascade_at_deep_levels(self):
+        for q, n in self._deep_points():
+            assert taylor_at(Dyadic(q, n), n + 2).degree == n
+
+    def test_near_one_matches_moment_route(self):
+        # phi(1 - 2^-n) from the moment recurrence, independent of the blocks
+        for n in range(20, 41):
+            assert phi_exact(Dyadic((1 << n) - 1, n)) == phi_near_one(n)
+
 
 class TestIdentities:
     def test_functional_equation_exact(self):
@@ -150,11 +201,6 @@ class TestTheta:
 
         for k in range(64):
             assert theta_exact(Dyadic(2 * k + 1, 0)) == thue_morse_sign(k)
-
-    def test_point_record(self):
-        record = theta_point(Fraction(1, 2))
-        assert record.t == Dyadic(1, 1)
-        assert record.value == Fraction(1, 2)
 
 
 class TestDerivatives:
