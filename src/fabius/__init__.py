@@ -17,7 +17,6 @@ from .approximants import (
     partition_polynomial,
     partition_polynomial_degree,
     restricted_partitions,
-    step_eval,
     step_function,
 )
 from .coefficients import (
@@ -92,7 +91,6 @@ __all__ = [
     "restricted_partitions",
     "StepFunction",
     "step_function",
-    "step_eval",
     "DEFAULT_M_MAX",
     "DEFAULT_FOURIER_K",
     "FourierCoefficients",

@@ -23,7 +23,6 @@ __all__ = [
     "restricted_partitions",
     "StepFunction",
     "step_function",
-    "step_eval",
 ]
 
 
@@ -207,8 +206,3 @@ def step_function(n: int) -> StepFunction:
     poly = partition_polynomial(n)
     scale = Fraction(1 << n, 1 << (n * (n + 1) // 2))
     return StepFunction(level=n, values=tuple(scale * a for a in poly.coeffs))
-
-
-def step_eval(sf: StepFunction, t: Dyadic | int | Fraction) -> Fraction:
-    """Module-level alias for :meth:`StepFunction.value_at`."""
-    return sf.value_at(t)

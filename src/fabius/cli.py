@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 
 from . import spectral, stochastic
 from .approximants import step_function
@@ -148,7 +148,10 @@ def _cmd_eval_float(args) -> int:
             )
         _emit(args, "float", rows, lines)
         return 0
-    value = spectral.phi_fourier(args.t, fc)
+    if not isfinite(args.t):
+        raise ValueError("eval-float T must be finite")
+    # the synthesis is 2-periodic; phi itself vanishes outside (-1, 1)
+    value = spectral.phi_fourier(args.t, fc) if abs(args.t) < 1 else 0.0
     _emit(args, "float", {"t": args.t, "value": value}, [_float_str(value)])
     return 0
 
@@ -333,8 +336,6 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--depth", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--streams", type=int, default=1,
-                   help="worker hint; never changes the result")
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("selftest", help="run the acceptance checks")
@@ -347,8 +348,6 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        if getattr(args, "streams", 1) < 1:
-            parser.error("--streams must be >= 1")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:

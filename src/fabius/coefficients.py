@@ -12,10 +12,12 @@ Both sequences admit integer normalizations (F_k and G_n below); a non-integer
 result there can only mean a corrupted table and is treated as a hard failure.
 The ordinary moments int_0^1 t^n phi(t) dt and the values phi(1 - 2^-n) follow
 exactly from d and c, by two independent routes that the test suite compares.
+Each sequence is one extend-only store shared by all callers.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,16 +40,22 @@ class TableIntegrityError(ArithmeticError):
     """A normalization that must be an integer failed to be one."""
 
 
-@lru_cache(maxsize=None)
+# c and d as solved so far; both only grow, under the one lock
+_C: list[Fraction] = [Fraction(1)]
+_D: list[Fraction] = [Fraction(1)]
+_STORE_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=1)  # spectral asks for the same prefix on every synthesis
 def series_coefficients(n_max: int) -> tuple[Fraction, ...]:
     """The rationals c_0..c_n_max; c_0 = 1, all strictly positive."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    c = [Fraction(1)]
-    for k in range(1, n_max + 1):
-        rhs = sum(comb(2 * k + 1, 2 * h) * c[h] for h in range(k))
-        c.append(rhs / ((2 * k + 1) * ((1 << (2 * k)) - 1)))
-    return tuple(c)
+    with _STORE_LOCK:
+        for k in range(len(_C), n_max + 1):
+            rhs = sum(comb(2 * k + 1, 2 * h) * _C[h] for h in range(k))
+            _C.append(rhs / ((2 * k + 1) * ((1 << (2 * k)) - 1)))
+        return tuple(_C[: n_max + 1])
 
 
 def _double_factorial_odd(k: int) -> int:
@@ -72,16 +80,16 @@ def series_integer_numerators(c: tuple[Fraction, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def exp_moment_coefficients(n_max: int) -> tuple[Fraction, ...]:
     """The rationals d_0..d_n_max; d_0 = 1."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    d = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        rhs = sum(comb(n + 1, k) * d[k] for k in range(n))
-        d.append(rhs / ((n + 1) * ((1 << n) - 1)))
-    return tuple(d)
+    with _STORE_LOCK:
+        for n in range(len(_D), n_max + 1):
+            rhs = sum(comb(n + 1, k) * _D[k] for k in range(n))
+            _D.append(rhs / ((n + 1) * ((1 << n) - 1)))
+        return tuple(_D[: n_max + 1])
 
 
 def exp_moment_integer_numerators(d: tuple[Fraction, ...]) -> tuple[int, ...]:

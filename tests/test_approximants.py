@@ -9,7 +9,6 @@ from fabius.approximants import (
     partition_polynomial,
     partition_polynomial_degree,
     restricted_partitions,
-    step_eval,
     step_function,
 )
 from fabius.core import Dyadic
@@ -101,25 +100,25 @@ class TestStepFunction:
     def test_level_zero(self):
         sf = step_function(0)
         assert sf.values == (Fraction(1),)
-        assert step_eval(sf, Dyadic(0, 0)) == 1
-        assert step_eval(sf, Fraction(-1, 2)) == 1  # left edge included
-        assert step_eval(sf, Fraction(1, 2)) == 0
+        assert sf.value_at(Dyadic(0, 0)) == 1
+        assert sf.value_at(Fraction(-1, 2)) == 1  # left edge included
+        assert sf.value_at(Fraction(1, 2)) == 0
 
     def test_level_one_merges_to_unit_plateau(self):
         sf = step_function(1)
         assert sf.values == (Fraction(1), Fraction(1))
         for t in (Fraction(-1, 2), Fraction(-1, 4), Fraction(0), Fraction(1, 4)):
-            assert step_eval(sf, t) == 1
-        assert step_eval(sf, Fraction(1, 2)) == 0
+            assert sf.value_at(t) == 1
+        assert sf.value_at(Fraction(1, 2)) == 0
 
     def test_level_two_values(self):
         sf = step_function(2)
         assert sf.values == (
             Fraction(1, 2), Fraction(1), Fraction(1), Fraction(1), Fraction(1, 2)
         )
-        assert step_eval(sf, Dyadic(0, 0)) == 1
-        assert step_eval(sf, Fraction(-5, 8)) == Fraction(1, 2)
-        assert step_eval(sf, Dyadic(1, 0)) == 0
+        assert sf.value_at(Dyadic(0, 0)) == 1
+        assert sf.value_at(Fraction(-5, 8)) == Fraction(1, 2)
+        assert sf.value_at(Dyadic(1, 0)) == 0
 
     def test_intervals(self):
         sf = step_function(2)
@@ -141,28 +140,28 @@ class TestStepFunction:
             assert sf.is_unimodal()
             assert sf.values == sf.values[::-1]
             assert max(sf.values) == 1
-            assert step_eval(sf, Dyadic(0, 0)) == 1
+            assert sf.value_at(Dyadic(0, 0)) == 1
 
     def test_interior_edge_midpoint(self):
         sf = step_function(2)
-        assert step_eval(sf, Fraction(-3, 8)) == Fraction(3, 4)
-        assert step_eval(sf, Fraction(1, 8)) == 1  # equal neighbors
+        assert sf.value_at(Fraction(-3, 8)) == Fraction(3, 4)
+        assert sf.value_at(Fraction(1, 8)) == 1  # equal neighbors
         # t = -1/2 is the shared edge of plateaus 1 and 2 at level 3
         sf3 = step_function(3)
-        assert step_eval(sf3, Fraction(-1, 2)) == (sf3.values[1] + sf3.values[2]) / 2
+        assert sf3.value_at(Fraction(-1, 2)) == (sf3.values[1] + sf3.values[2]) / 2
 
     def test_support_edges_one_sided(self):
         sf = step_function(2)
         left = sf.support_left.to_fraction()
-        assert step_eval(sf, left) == Fraction(1, 2)  # left edge included
-        assert step_eval(sf, -left) == 0  # right edge excluded
-        assert step_eval(sf, left - Fraction(1, 64)) == 0
+        assert sf.value_at(left) == Fraction(1, 2)  # left edge included
+        assert sf.value_at(-left) == 0  # right edge excluded
+        assert sf.value_at(left - Fraction(1, 64)) == 0
 
     def test_measured_envelope(self):
         for m, expected in MEASURED_ENVELOPE.items():
             sf = step_function(m)
             dev = max(
-                abs(step_eval(sf, Dyadic(q, 5)) - phi_exact(Dyadic(q, 5)))
+                abs(sf.value_at(Dyadic(q, 5)) - phi_exact(Dyadic(q, 5)))
                 for q in range(-32, 33)
             )
             assert dev == expected

@@ -174,6 +174,20 @@ class TestFourierAndFloat:
         code, out, _ = run_cli(capsys, "eval-float", "0.75")
         assert abs(float(out.strip()) - 5 / 72) < 1e-10
 
+    @pytest.mark.parametrize("t", ["2", "1.5", "-3", "1"])
+    def test_float_zero_outside_support(self, capsys, t):
+        # the cosine synthesis is 2-periodic, so it must not be read off here
+        code, out, _ = run_cli(capsys, "eval-float", "--", t)
+        assert code == 0
+        assert out.strip() == "0"
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_float_rejects_non_finite(self, capsys, t):
+        code, out, err = run_cli(capsys, "eval-float", "--", t)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
     def test_grid_csv(self, capsys):
         code, out, _ = run_cli(capsys, "eval-float", "--grid", "2")
         lines = out.splitlines()
@@ -260,7 +274,3 @@ class TestMc:
         code, _, err = run_cli(capsys, "mc", "0.5", "--samples", "10")
         assert code == 1
         assert "error" in err
-
-    def test_streams_hint_validated(self, capsys):
-        code, _, _ = run_cli(capsys, "mc", "-0.5", "--samples", "10", "--streams", "0")
-        assert code == 1

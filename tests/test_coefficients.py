@@ -1,10 +1,13 @@
 """Coefficient sequences, their integer normalizations, moments."""
 
+import sys
+import threading
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
+from fabius import coefficients
 from fabius.coefficients import (
     CoefficientTable,
     TableIntegrityError,
@@ -20,6 +23,40 @@ from fabius.coefficients import (
 N = 24
 
 
+@pytest.fixture
+def empty_store(monkeypatch):
+    """Both coefficient stores cut back to their first term for one test."""
+    monkeypatch.setattr(coefficients, "_C", [Fraction(1)])
+    monkeypatch.setattr(coefficients, "_D", [Fraction(1)])
+    series_coefficients.cache_clear()
+    exp_moment_coefficients.cache_clear()
+    yield
+    series_coefficients.cache_clear()
+    exp_moment_coefficients.cache_clear()
+
+
+def assert_c_recurrence(c):
+    for k in range(len(c)):
+        lhs = (2 * k + 1) * (1 << (2 * k)) * c[k]
+        rhs = sum(comb(2 * k + 1, 2 * h) * c[h] for h in range(k + 1))
+        assert lhs == rhs
+
+
+def assert_d_recurrence(d):
+    assert d[0] == 1
+    for n in range(1, len(d)):
+        lhs = (n + 1) * ((1 << n) - 1) * d[n]
+        rhs = sum(comb(n + 1, k) * d[k] for k in range(n))
+        assert lhs == rhs
+
+
+def assert_prefixes(prefixes):
+    longest = max(prefixes, key=len)
+    for p in prefixes:
+        assert p == longest[: len(p)]
+    return longest
+
+
 class TestSeriesCoefficients:
     def test_base_case(self):
         assert series_coefficients(0) == (Fraction(1),)
@@ -30,12 +67,11 @@ class TestSeriesCoefficients:
         assert c[1] == Fraction(1, 9)
         assert c[2] == Fraction(19, 675)
 
-    def test_defining_recurrence(self):
-        c = series_coefficients(N)
-        for k in range(N + 1):
-            lhs = (2 * k + 1) * (1 << (2 * k)) * c[k]
-            rhs = sum(comb(2 * k + 1, 2 * h) * c[h] for h in range(k + 1))
-            assert lhs == rhs
+    def test_defining_recurrence(self, empty_store):
+        # out of order, so the shorter prefixes are read from the grown store
+        prefixes = [series_coefficients(n) for n in (40, 10, 25)]
+        assert [len(p) for p in prefixes] == [41, 11, 26]
+        assert_c_recurrence(assert_prefixes(prefixes))
 
     def test_all_positive(self):
         assert all(ck > 0 for ck in series_coefficients(N))
@@ -54,12 +90,10 @@ class TestExpMomentCoefficients:
         d = exp_moment_coefficients(3)
         assert d == (Fraction(1), Fraction(1, 2), Fraction(5, 18), Fraction(1, 6))
 
-    def test_defining_recurrence(self):
-        d = exp_moment_coefficients(N)
-        for n in range(1, N + 1):
-            lhs = (n + 1) * ((1 << n) - 1) * d[n]
-            rhs = sum(comb(n + 1, k) * d[k] for k in range(n))
-            assert lhs == rhs
+    def test_defining_recurrence(self, empty_store):
+        prefixes = [exp_moment_coefficients(n) for n in (40, 10, 25)]
+        assert [len(p) for p in prefixes] == [41, 11, 26]
+        assert_d_recurrence(assert_prefixes(prefixes))
 
     def test_series_product_identity(self):
         # independent re-derivation: f(2x) = ((e^x - 1)/x) f(x) order by order,
@@ -103,6 +137,13 @@ class TestMoments:
     def test_all_positive(self):
         assert all(moment(n) > 0 for n in range(N))
 
+    def test_descending_orders_read_the_store(self, empty_store):
+        moments = {n: moment(n) for n in range(30, -1, -1)}
+        d = exp_moment_coefficients(31)
+        assert_d_recurrence(d)
+        for n, value in moments.items():
+            assert value == d[n + 1] / (n + 1)
+
 
 class TestPhiNearOne:
     @pytest.mark.parametrize(
@@ -121,6 +162,41 @@ class TestPhiNearOne:
     def test_domain(self):
         with pytest.raises(ValueError):
             phi_near_one(0)
+
+
+class TestStore:
+    def test_concurrent_growth(self, empty_store):
+        sizes = (12, 45, 30, 20)
+        start = threading.Barrier(len(sizes), timeout=30)
+        results = {}
+
+        def request(n_max):
+            start.wait()
+            results[n_max] = (series_coefficients(n_max), exp_moment_coefficients(n_max))
+
+        threads = [threading.Thread(target=request, args=(n,)) for n in sizes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-growth
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [tuple(map(len, results[n])) for n in sizes] == [(n + 1, n + 1) for n in sizes]
+        assert_c_recurrence(assert_prefixes([c for c, _ in results.values()]))
+        assert_d_recurrence(assert_prefixes([d for _, d in results.values()]))
+
+    @pytest.mark.parametrize(
+        "name", ["series_coefficients", "exp_moment_coefficients", "phi_near_one"]
+    )
+    def test_cache_info_kept(self, name):
+        # the benchmark's tracer (perfbench/tracer.py, CACHED) reads cache_info()
+        # of these three for its cache metrics
+        info = getattr(coefficients, name).cache_info()
+        assert info.maxsize is None or info.maxsize >= 1
 
 
 class TestCoefficientTable:
