@@ -16,13 +16,13 @@ O(2^n * n) steps, and is kept as a differential-testing twin.
 phi(t) = 1 - phi(1-t) into [0, 1/2], memoizes per canonical point, and
 evaluates the sum in blocks.  The range of h splits along the set bits of its
 upper limit into at most n+1 aligned blocks [a, a + 2^m), on which the sign
-factors as (-1)^s(a) (-1)^s(h - a).  A block's sum of (y - 2h)^j is then a
-polynomial in y whose coefficients are the Thue-Morse power sums
-P_m(i) = sum_{h<2^m} (-1)^s(h) h^i, and these vanish for i < m (Prouhet).
-Per level the weights and power sums fold into one integer polynomial per
-block size, over a common denominator, so a point costs one Horner
-evaluation per block and a single Fraction: O(n^2) bigint steps once the
-level's O(n^3) polynomials exist.
+factors as (-1)^s(a) (-1)^s(h - a).  A block's signed sum of the weighted
+powers (y - 2h)^(n-2k) is then one polynomial B_m(y), over a common
+denominator per level.  Halving a block gives B_{m+1}(y) = B_m(y) -
+B_m(y - 2^(m+1)), so each level's polynomials come from the weights by n
+Taylor shifts and differences, and B_m has degree n - m (Prouhet).  A point
+costs one Horner evaluation per block and a single Fraction: O(n^2) bigint
+steps once the level's O(n^3) polynomials exist.
 
 All derivatives reduce to theta(t) = sum_k (-1)^s(k) phi(t - 2k - 1), whose
 translates have disjoint open supports: phi^(k)(t) = 2^C(k+1,2) theta(2^k t + 2^k).
@@ -30,11 +30,10 @@ translates have disjoint open supports: phi^(k)(t) = 2^C(k+1,2) theta(2^k t + 2^
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import factorial, lcm
 
 from .coefficients import phi_near_one
 from .core import Dyadic, thue_morse_sign
@@ -87,60 +86,28 @@ def phi_exact_raw(q: int, n: int) -> Fraction:
     return total
 
 
-# Thue-Morse power sums P_m(i) = sum_{h<2^m} (-1)^s(h) h^i, extend-only and
-# shared by every level: _POWER_SUMS[m][i] for m, i below len(_POWER_SUMS).
-_POWER_SUMS: list[list[int]] = [[1]]
-_POWER_SUMS_LOCK = threading.Lock()
-
-
-def _power_sums(size: int) -> list[list[int]]:
-    """The power-sum table grown to at least ``size`` rows and columns.
-
-    Splitting h < 2^(m+1) into its lower and upper halves gives
-    P_{m+1}(i) = P_m(i) - sum_l C(i,l) 2^(m(i-l)) P_m(l), and P_m(l) = 0 for
-    l < m (Prouhet), so the sum starts at l = m.
-    """
-    with _POWER_SUMS_LOCK:
-        table = _POWER_SUMS
-        if len(table) < size:
-            table[0].extend([0] * (size - len(table[0])))
-            for m in range(1, size):
-                if m == len(table):
-                    table.append([0] * m)
-                prev, row, s = table[m - 1], table[m], m - 1
-                for i in range(len(row), size):
-                    row.append(prev[i] - sum(
-                        comb(i, l) * prev[l] << s * (i - l) for l in range(s, i + 1)
-                    ))
-        return table
-
-
 @lru_cache(maxsize=32)  # a level grid reaches every coarser level too
 def _level_plan(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Common denominator D of level n and one integer polynomial per block size.
 
     ``blocks[m]`` lists, highest power first, the coefficients of
-    D * sum_k w_k * sum_{h<2^m} (-1)^s(h) (y - 2h)^(n-2k) as a polynomial in y,
-    where w_k is the weight of exponent n - 2k.  Expanding the binomial leaves
-    C(j,i) (-2)^i P_m(i) y^(j-i), and only i >= m survive.
+    B_m(y) = D * sum_{h<2^m} (-1)^s(h) f(y - 2h) with f(y) = sum_k w_k y^(n-2k),
+    where w_k is the weight of exponent n - 2k.  Splitting h < 2^(m+1) into
+    its two halves gives B_{m+1}(y) = B_m(y) - B_m(y - 2^(m+1)); the leading
+    terms cancel, so B_m has degree n - m (Prouhet).
     """
     d = level_denominator_bound(n)
-    weights = [(_weight(n, k) * d).numerator for k in range(n // 2 + 1)]
-    sums = _power_sums(n + 1)
-    blocks = []
-    for m in range(n + 1):
-        row = sums[m]
-        coeffs = []
-        for e in range(n - m, -1, -1):
-            c = 0
-            for k, w in enumerate(weights):
-                j = n - 2 * k
-                i = j - e
-                if i < m:
-                    break
-                c += (-w if i & 1 else w) * comb(j, e) * row[i] << i
-            coeffs.append(c)
-        blocks.append(tuple(coeffs))
+    p = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        p[2 * k] = (_weight(n, k) * d).numerator
+    blocks = [tuple(p)]
+    for m in range(1, n + 1):
+        g = p[:]  # Taylor shift g(y) = p(y - 2^m)
+        for i in range(len(g) - 1):
+            for j in range(1, len(g) - i):
+                g[j] -= g[j - 1] << m
+        p = [a - b for a, b in zip(p[1:], g[1:])]
+        blocks.append(tuple(p))
     return d, tuple(blocks)
 
 
@@ -221,7 +188,10 @@ def phi_derivative(k: int, t: Dyadic | int | Fraction) -> Fraction:
     if abs(t.num) > (1 << t.exp):
         return Fraction(0)
     arg = Dyadic((t.num << k) + (1 << (k + t.exp)), t.exp)
-    return (1 << (k * (k + 1) // 2)) * theta_exact(arg)
+    value = theta_exact(arg)
+    if not value:
+        return value  # skip building 2^C(k+1,2), huge for large k
+    return (1 << (k * (k + 1) // 2)) * value
 
 
 @dataclass(frozen=True)

@@ -116,12 +116,11 @@ def transform_value(x: float, m_max: int = DEFAULT_M_MAX, terms: int = 24) -> fl
 class FourierCoefficients:
     """Snapshot of the cosine-synthesis coefficients a[k] ~ hat((2k+1)/2).
 
-    Signs follow the Thue-Morse sequence for every coefficient that clears
-    ``tolerance``; 1/2 + sum(a) reproduces phi(0) = 1 within tolerance.
+    Signs follow the Thue-Morse sequence for every coefficient above 1e-10
+    in magnitude; 1/2 + sum(a) reproduces phi(0) = 1 within 1e-10.
     """
 
     a: tuple[float, ...]
-    tolerance: float = 1e-10
 
     @property
     def K(self) -> int:
@@ -131,14 +130,12 @@ class FourierCoefficients:
 def fourier_coefficients(
     K: int = DEFAULT_FOURIER_K,
     m_max: int = DEFAULT_M_MAX,
-    tolerance: float = 1e-10,
 ) -> FourierCoefficients:
     """Coefficients a[k] = transform at (2k+1)/2 for k = 0..K-1."""
     if K < 1:
         raise ValueError("K must be >= 1")
     return FourierCoefficients(
         a=tuple(transform_product((2 * k + 1) / 2, m_max) for k in range(K)),
-        tolerance=tolerance,
     )
 
 

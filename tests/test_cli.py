@@ -201,13 +201,21 @@ class TestFourierAndFloat:
 
 class TestConsoleScript:
     def test_module_and_script_entry_points(self):
+        import os
         import subprocess
         import sys
 
+        import fabius
+
+        # the child imports the same checkout as this process, installed or not
+        src = os.path.dirname(os.path.dirname(fabius.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.run(
             [sys.executable, "-m", "fabius.cli", "eval", "31", "5"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "19/33177600"
@@ -215,6 +223,7 @@ class TestConsoleScript:
             [sys.executable, "-m", "fabius.cli", "table", "99"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 1
 

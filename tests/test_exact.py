@@ -1,6 +1,7 @@
 """Exact dyadic evaluation: phi, theta, derivatives, Taylor data."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -9,7 +10,8 @@ import pytest
 from fabius.coefficients import phi_near_one
 from fabius.core import Dyadic, thue_morse_sign
 from fabius.exact import (
-    _power_sums,
+    _level_plan,
+    _weight,
     level_denominator_bound,
     phi_derivative,
     phi_exact,
@@ -99,16 +101,23 @@ class TestRawFormula:
 
 
 class TestBlockEvaluator:
-    def test_power_sums_against_brute_force(self):
-        table = _power_sums(8)
-        for m in range(8):
-            for i in range(8):
-                brute = sum(thue_morse_sign(h) * h**i for h in range(1 << m))
-                assert table[m][i] == brute, (m, i)
-                if i < m:
-                    assert brute == 0
-            lead = (-1) ** m * factorial(m) * (1 << (m * (m - 1) // 2))
-            assert table[m][m] == lead
+    def test_block_polynomials_against_brute_force(self):
+        for n in range(8):
+            d, blocks = _level_plan(n)
+            weights = [_weight(n, k) for k in range(n // 2 + 1)]
+            for m in range(n + 1):
+                block = blocks[m]
+                assert len(block) == n - m + 1 and block[0] != 0, (n, m)
+                for y in (-5, -1, 0, 1, 2, 7, (1 << (n + 1)) + 1):
+                    horner = 0
+                    for c in block:
+                        horner = horner * y + c
+                    literal = d * sum(
+                        thue_morse_sign(h) * w * (y - 2 * h) ** (n - 2 * k)
+                        for h in range(1 << m)
+                        for k, w in enumerate(weights)
+                    )
+                    assert horner == literal, (n, m, y)
 
     @staticmethod
     def _deep_points():
@@ -137,7 +146,7 @@ class TestBlockEvaluator:
 
     def test_near_one_matches_moment_route(self):
         # phi(1 - 2^-n) from the moment recurrence, independent of the blocks
-        for n in range(20, 41):
+        for n in [*range(20, 41), 64, 128]:
             assert phi_exact(Dyadic((1 << n) - 1, n)) == phi_near_one(n)
 
 
@@ -244,6 +253,17 @@ class TestDerivatives:
                 assert abs(phi_derivative(n, t)) == 1 << (n * (n + 1) // 2)
                 for k in range(n + 1, n + 11):
                     assert phi_derivative(k, t) == 0
+
+    def test_vanishing_order_skips_the_power_of_two(self):
+        # 2^C(k+1,2) at k = 20000 alone would take about 25 MB
+        tracemalloc.start()
+        try:
+            assert phi_derivative(20000, Dyadic(1, 3)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert taylor_at(Dyadic(1, 3), 2000).degree == 3
 
 
 class TestTaylor:

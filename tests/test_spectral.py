@@ -110,7 +110,7 @@ class TestFourierCoefficients:
 
     def test_signs_hold_above_tolerance(self, fc):
         for k, ak in enumerate(fc.a):
-            if abs(ak) > fc.tolerance:
+            if abs(ak) > 1e-10:
                 assert (ak > 0) == (thue_morse_sign(k) > 0)
 
     def test_sum_reproduces_center_value(self, fc):
