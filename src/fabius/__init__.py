@@ -35,6 +35,7 @@ from .exact import (
     TaylorPolynomial,
     as_dyadic,
     level_denominator_bound,
+    level_values,
     phi_derivative,
     phi_exact,
     phi_exact_raw,
@@ -80,6 +81,7 @@ __all__ = [
     "as_dyadic",
     "phi_exact",
     "phi_exact_raw",
+    "level_values",
     "theta_exact",
     "phi_derivative",
     "taylor_at",

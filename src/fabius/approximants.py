@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import Dyadic
 
@@ -72,13 +73,6 @@ class IntPolynomial:
                     out[i + j] += a * b
         return IntPolynomial(out)
 
-    def stretch(self, factor: int) -> IntPolynomial:
-        """Substitute x -> x^factor."""
-        out = [0] * (factor * (len(self._coeffs) - 1) + 1)
-        for i, a in enumerate(self._coeffs):
-            out[factor * i] = a
-        return IntPolynomial(out)
-
     def __call__(self, x: int) -> int:
         total = 0
         for a in reversed(self._coeffs):
@@ -90,16 +84,15 @@ class IntPolynomial:
 
 
 def partition_polynomial(n: int) -> IntPolynomial:
-    """The polynomial p_n from p_0 = 1, p_n(x) = p_{n-1}(x^2) (1+x)^n."""
+    """p_n as the product of its geometric blocks, each one prefix-sum pass."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    p = IntPolynomial([1])
-    one_plus_x = IntPolynomial([1, 1])
+    p = [1]
     for m in range(1, n + 1):
-        p = p.stretch(2)
-        for _ in range(m):
-            p = p * one_plus_x
-    return p
+        width = 1 << m
+        sums = list(accumulate(p + [0] * (width - 1)))
+        p = [a - b for a, b in zip(sums, [0] * width + sums)]
+    return IntPolynomial(p)
 
 
 def partition_polynomial_degree(n: int) -> int:

@@ -30,7 +30,8 @@ from .coefficients import (
     series_integer_numerators,
 )
 from .core import Dyadic, format_rational
-from .exact import level_denominator_bound, phi_derivative, phi_exact, taylor_at
+from .exact import level_denominator_bound, level_values, phi_derivative
+from .exact import phi_exact, taylor_at
 
 __all__ = ["main", "render_table"]
 
@@ -64,11 +65,6 @@ def _emit(args, mode: str, payload, text_lines) -> None:
     else:
         for line in text_lines:
             print(line)
-
-
-def level_values(n: int) -> list[Fraction]:
-    """phi(q/2^n) for q = 0..2^n."""
-    return [phi_exact(Dyadic(q, n)) for q in range((1 << n) + 1)]
 
 
 def _level(n: int) -> tuple[list[Fraction], int]:
@@ -127,12 +123,13 @@ def _cmd_eval_float(args) -> int:
     if args.grid is not None:
         if args.grid < 0:
             raise ValueError("grid level must be >= 0")
+        values = level_values(args.grid)
         lines = ["t,phi_fourier,phi_exact_if_dyadic,abs_err"]
         rows = []
         for q in range(-(1 << args.grid), (1 << args.grid) + 1):
             t = Dyadic(q, args.grid)
             approx = spectral.phi_fourier(float(t), fc)
-            exact_value = phi_exact(t)
+            exact_value = values[abs(q)]
             err = abs(approx - float(exact_value))
             rows.append(
                 {

@@ -13,16 +13,16 @@ coefficient tables.  :func:`phi_exact_raw` evaluates that sum literally, in
 O(2^n * n) steps, and is kept as a differential-testing twin.
 
 :func:`phi_exact` folds the argument by evenness and by the reflection
-phi(t) = 1 - phi(1-t) into [0, 1/2], memoizes per canonical point, and
-evaluates the sum in blocks.  The range of h splits along the set bits of its
-upper limit into at most n+1 aligned blocks [a, a + 2^m), on which the sign
-factors as (-1)^s(a) (-1)^s(h - a).  A block's signed sum of the weighted
-powers (y - 2h)^(n-2k) is then one polynomial B_m(y), over a common
-denominator per level.  Halving a block gives B_{m+1}(y) = B_m(y) -
-B_m(y - 2^(m+1)), so each level's polynomials come from the weights by n
-Taylor shifts and differences, and B_m has degree n - m (Prouhet).  A point
-costs one Horner evaluation per block and a single Fraction: O(n^2) bigint
-steps once the level's O(n^3) polynomials exist.
+phi(t) = 1 - phi(1-t) into [0, 1/2] and evaluates the sum in blocks.  The
+range of h splits along the set bits of its upper limit into at most n+1
+aligned blocks [a, a + 2^m), on which the sign factors as (-1)^s(a)
+(-1)^s(h - a).  A block's signed sum of the weighted powers (y - 2h)^(n-2k)
+is one polynomial B_m(y) over a common denominator per level, and halving a
+block gives B_{m+1}(y) = B_m(y) - B_m(y - 2^(m+1)): n Taylor shifts and
+differences build a level's O(n^3) polynomials, B_m of degree n - m
+(Prouhet), and they are the only state kept.  A point then costs one Horner
+evaluation per block and a single Fraction, O(n^2) bigint steps;
+:func:`level_values` evaluates a level from its canonical half.
 
 All derivatives reduce to theta(t) = sum_k (-1)^s(k) phi(t - 2k - 1), whose
 translates have disjoint open supports: phi^(k)(t) = 2^C(k+1,2) theta(2^k t + 2^k).
@@ -42,6 +42,7 @@ __all__ = [
     "as_dyadic",
     "phi_exact",
     "phi_exact_raw",
+    "level_values",
     "theta_exact",
     "phi_derivative",
     "taylor_at",
@@ -111,7 +112,6 @@ def _level_plan(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return d, tuple(blocks)
 
 
-@lru_cache(maxsize=None)
 def _phi_folded(q: int, n: int) -> Fraction:
     # canonical q odd (or q == 0, n == 0), 0 <= q/2^n <= 1/2.  The sum over
     # h < top = q + 2^n of (-1)^s(h) (2 top - 1 - 2h)^j splits along the set
@@ -142,6 +142,15 @@ def phi_exact(t: Dyadic | int | Fraction) -> Fraction:
         # reflection phi(t) = 1 - phi(1 - t) into [0, 1/2]
         return 1 - _phi_folded((1 << n) - q, n)
     return _phi_folded(q, n)
+
+
+def level_values(n: int) -> list[Fraction]:
+    """phi(q/2^n) for q = 0..2^n; q > 2^(n-1) by reflection, as 1 - phi."""
+    if n < 0:
+        raise ValueError("level n must be >= 0")
+    top = 1 << n
+    values = [phi_exact(Dyadic(q, n)) for q in range(top // 2 + 1)]
+    return values + [1 - values[top - q] for q in range(len(values), top + 1)]
 
 
 def level_denominator_bound(n: int) -> int:
@@ -229,7 +238,8 @@ def taylor_at(t: Dyadic | int | Fraction, max_order: int) -> TaylorPolynomial:
     t = as_dyadic(t)
     if abs(t.num) > (1 << t.exp):
         raise ValueError("Taylor centers must lie in [-1, 1]")
-    coeffs = tuple(
-        phi_derivative(k, t) / factorial(k) for k in range(max_order + 1)
-    )
+    # for k > t.exp, 2^k t + 2^k is an even integer, where theta vanishes
+    top = min(max_order, t.exp)
+    coeffs = tuple(phi_derivative(k, t) / factorial(k) for k in range(top + 1))
+    coeffs += (Fraction(0),) * (max_order - top)
     return TaylorPolynomial(center=t, coeffs=coeffs)

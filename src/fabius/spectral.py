@@ -151,9 +151,7 @@ def partition_of_unity(t: float, n: int, fc: FourierCoefficients) -> float:
     """sum_k phi(t + k/n) over the lattice points meeting [-1, 1]; contract: ~ n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lo = math.ceil((-1 - t) * n)
-    hi = math.floor((1 - t) * n)
-    return sum(phi_fourier(t + k / n, fc) for k in range(lo, hi + 1))
+    return translate_sum(t, 1 / n, fc)
 
 
 def translate_sum(t: float, u: float, fc: FourierCoefficients) -> float:

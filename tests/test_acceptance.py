@@ -9,13 +9,6 @@ from fabius import selftest
 GOLDEN = Path(__file__).parent / "data" / "table_n5_golden.txt"
 
 
-def _run(check, capsys=None):
-    result = check()
-    print(result.line())
-    assert result.passed, result.detail
-    return result
-
-
 def test_criterion_1_golden_table():
     result = selftest.criterion_1_golden_table()
     print(result.line())
@@ -29,37 +22,15 @@ def test_criterion_1_golden_table():
     assert result.passed, result.detail
 
 
-def test_criterion_2_integer_numerators():
-    _run(selftest.criterion_2_integer_numerators)
+LATER_CRITERIA = selftest.all_criteria()[1:]
 
 
-def test_criterion_3_functional_equation():
-    _run(selftest.criterion_3_functional_equation)
-
-
-def test_criterion_4_reflection_evenness():
-    _run(selftest.criterion_4_reflection_evenness)
-
-
-def test_criterion_5_moment_routes():
-    _run(selftest.criterion_5_moment_routes)
-
-
-def test_criterion_6_derivative_cascade():
-    _run(selftest.criterion_6_derivative_cascade)
-
-
-def test_criterion_7_spectral_agreement():
-    _run(selftest.criterion_7_spectral_agreement)
-
-
-def test_criterion_8_step_convergence():
-    _run(selftest.criterion_8_step_convergence)
-
-
-def test_criterion_9_monte_carlo():
-    _run(selftest.criterion_9_monte_carlo)
-
-
-def test_criterion_10_lattice_identities():
-    _run(selftest.criterion_10_lattice_identities)
+@pytest.mark.parametrize(
+    "check",
+    LATER_CRITERIA,
+    ids=[f"criterion_{i}" for i, _ in enumerate(LATER_CRITERIA, start=2)],
+)
+def test_criterion(check):
+    result = check()
+    print(result.line())
+    assert result.passed, result.detail

@@ -55,6 +55,17 @@ class TestPartitionPolynomial:
             rhs = partition_polynomial(m) * IntPolynomial([1] * (1 << (m + 1)))
             assert lhs == rhs
 
+    def test_defining_recurrence(self):
+        # p_n(x) = p_{n-1}(x^2) (1+x)^n, with plain lists
+        p = [1]
+        for n in range(1, 9):
+            stretched = [0] * (2 * len(p) - 1)
+            stretched[::2] = p  # x -> x^2
+            p = stretched
+            for _ in range(n):
+                p = [a + b for a, b in zip(p + [0], [0] + p)]
+            assert list(partition_polynomial(n).coeffs) == p
+
     def test_palindromic_and_positive(self):
         for n in range(0, 9):
             poly = partition_polynomial(n)

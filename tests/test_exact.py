@@ -1,18 +1,25 @@
 """Exact dyadic evaluation: phi, theta, derivatives, Taylor data."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 import pytest
 
+import fabius
 from fabius.coefficients import phi_near_one
 from fabius.core import Dyadic, thue_morse_sign
 from fabius.exact import (
     _level_plan,
     _weight,
     level_denominator_bound,
+    level_values,
     phi_derivative,
     phi_exact,
     phi_exact_raw,
@@ -148,6 +155,50 @@ class TestBlockEvaluator:
         # phi(1 - 2^-n) from the moment recurrence, independent of the blocks
         for n in [*range(20, 41), 64, 128]:
             assert phi_exact(Dyadic((1 << n) - 1, n)) == phi_near_one(n)
+
+
+class TestLevelValues:
+    def test_equals_pointwise_evaluation(self):
+        for n in range(11):
+            values = level_values(n)
+            assert values == [phi_exact(Dyadic(q, n)) for q in range((1 << n) + 1)]
+            if n <= 6:
+                raw = [phi_exact_raw(q, n) for q in range(1 << n)]
+                assert values == raw + [Fraction(0)]
+
+    def test_negative_level_rejected(self):
+        with pytest.raises(ValueError):
+            level_values(-1)
+
+    def test_level_sweep_keeps_no_per_point_state(self):
+        # a fresh interpreter, so no earlier sweep has filled a cache already;
+        # the level plans are built first, since they are the state that stays
+        script = textwrap.dedent(
+            """
+            import gc, tracemalloc
+            from fabius.core import Dyadic
+            from fabius.exact import _level_plan, phi_exact
+            for n in range(11):
+                _level_plan(n)
+            tracemalloc.start()
+            before = tracemalloc.get_traced_memory()[0]
+            values = [phi_exact(Dyadic(q, 10)) for q in range(-1024, 1025)]
+            del values
+            gc.collect()
+            print(tracemalloc.get_traced_memory()[0] - before)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(fabius.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+        )
+        # a memo of the 513 canonical points of level 10 keeps about 110 kB
+        assert int(proc.stdout) < 16 << 10
 
 
 class TestIdentities:
@@ -297,6 +348,16 @@ class TestTaylor:
         poly = taylor_at(Dyadic(-1, 1), 1)
         assert poly(Fraction(0)) == Fraction(1, 2)
         assert poly(Fraction(1, 8)) == Fraction(1, 2) + Fraction(2) * Fraction(1, 8)
+
+    def test_no_factorial_above_the_degree(self):
+        t = Dyadic(1, 3)
+        taylor_at(t, 3)  # builds the level plans, whose weights use factorial too
+        with mock.patch("fabius.exact.factorial", wraps=factorial) as counted:
+            poly = taylor_at(t, 3000)
+        assert counted.call_count <= 4
+        assert len(poly.coeffs) == 3001 and poly.degree == 3
+        for k in (0, 1, 2, 3, 4, 3000):
+            assert poly.coeffs[k] == phi_derivative(k, t) / factorial(k)
 
     def test_center_outside_support_rejected(self):
         with pytest.raises(ValueError):
