@@ -9,7 +9,8 @@ violation (or selftest failure).
 Environment defaults (flags win): FABIUS_M_MAX for the product truncation,
 FABIUS_FOURIER_K for the synthesis length, FABIUS_TABLE_MAX for the largest
 level ``table`` accepts and the largest level ``eval`` will scan to find the
-minimal common denominator.
+minimal common denominator, FABIUS_LEVEL_MAX for the deepest level ``eval``,
+``deriv`` and ``taylor`` accept (default 128).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import isfinite, lcm
 
@@ -59,6 +61,28 @@ def _env_int(name: str, default: int) -> int:
         raise SystemExit(f"invalid {name}={raw!r}")
 
 
+def _point(args) -> Dyadic:
+    """The canonical q/2^n of ``args``, rejected above the level cap before any work."""
+    t = Dyadic(args.q, args.n)
+    if t.exp > args.level_max:
+        raise ValueError(f"level must be in 0..{args.level_max}")
+    return t
+
+
+@contextmanager
+def _no_int_str_limit():
+    """Lift CPython's int-to-str digit limit: exact results may exceed it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _emit(args, mode: str, payload, text_lines) -> None:
     if args.json:
         print(json.dumps({"mode": mode, "payload": payload}))
@@ -96,7 +120,7 @@ def _as_int(value: Fraction) -> int:
 
 
 def _cmd_eval(args) -> int:
-    t = Dyadic(args.q, args.n)
+    t = _point(args)
     value = phi_exact(t)
     if args.n <= args.max_level:
         d = level_denominator(args.n)
@@ -193,18 +217,19 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_deriv(args) -> int:
-    value = phi_derivative(args.k, Dyadic(args.q, args.n))
+    t = _point(args)
+    value = phi_derivative(args.k, t)
     _emit(
         args,
         "exact",
-        {"order": args.k, "t": str(Dyadic(args.q, args.n)), "value": format_rational(value)},
+        {"order": args.k, "t": str(t), "value": format_rational(value)},
         [format_rational(value)],
     )
     return 0
 
 
 def _cmd_taylor(args) -> int:
-    poly = taylor_at(Dyadic(args.q, args.n), args.order)
+    poly = taylor_at(_point(args), args.order)
     values = [format_rational(c) for c in poly.coeffs]
     _emit(
         args,
@@ -280,6 +305,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table_max_default = _env_int("FABIUS_TABLE_MAX", 12)
+    level_max_default = _env_int("FABIUS_LEVEL_MAX", 128)
     m_max_default = _env_int("FABIUS_M_MAX", spectral.DEFAULT_M_MAX)
     fourier_k_default = _env_int("FABIUS_FOURIER_K", spectral.DEFAULT_FOURIER_K)
 
@@ -287,7 +313,7 @@ def build_parser() -> _Parser:
     p.add_argument("q", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--max-level", type=int, default=table_max_default)
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, level_max=level_max_default)
 
     p = sub.add_parser("eval-float", help="float phi(t) via Fourier synthesis")
     p.add_argument("t", type=float, nargs="?", default=0.0)
@@ -311,13 +337,13 @@ def build_parser() -> _Parser:
     p.add_argument("k", type=int)
     p.add_argument("q", type=int)
     p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_deriv)
+    p.set_defaults(func=_cmd_deriv, level_max=level_max_default)
 
     p = sub.add_parser("taylor", help="exact Taylor coefficients at q/2^n")
     p.add_argument("q", type=int)
     p.add_argument("n", type=int)
     p.add_argument("order", type=int)
-    p.set_defaults(func=_cmd_taylor)
+    p.set_defaults(func=_cmd_taylor, level_max=level_max_default)
 
     p = sub.add_parser("approx", help="step-approximant plateaus as CSV")
     p.add_argument("m", type=int)
@@ -348,7 +374,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return args.func(args)
+        # parsing above keeps the limit; only computed results may be long
+        with _no_int_str_limit():
+            return args.func(args)
     except ValueError as exc:
         print(f"fabius: error: {exc}", file=sys.stderr)
         return USAGE_ERROR

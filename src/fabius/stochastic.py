@@ -7,6 +7,9 @@ sample count) and draws from a counter-based generator so results are
 reproducible regardless of how work is scheduled: sample block i is generated
 from Philox keyed by (seed, i), so the estimate depends only on
 (x, samples, depth, seed), never on worker count.
+
+numpy is imported on the first block drawn, not with this module, so the
+exact commands that import the package never load it.
 """
 
 from __future__ import annotations
@@ -14,13 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["BLOCK_SIZE", "McEstimate", "mc_phi"]
 
 # Samples per generator block; fixed so that parallel schedules cannot
 # change which block a sample belongs to.
 BLOCK_SIZE = 1 << 16
+
+# Deepest series truncation accepted: a double-precision sum gains nothing
+# beyond about 53 terms, and each term costs a full pass over the block.
+MAX_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,8 @@ class McEstimate:
 
 def _block_hits(x: float, seed: int, block_index: int, count: int, depth: int) -> int:
     """Hits within one self-contained generator block."""
+    import numpy as np
+
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, block_index], dtype=np.uint64))
     )
@@ -69,8 +76,8 @@ def mc_phi(x: float, samples: int, depth: int = 40, seed: int = 0) -> McEstimate
         raise ValueError("mc_phi requires x in [-1, 0]")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if depth < 8:
-        raise ValueError("depth must be >= 8")
+    if not 8 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be in 8..{MAX_DEPTH}")
     if not 0 <= seed < 1 << 64:
         raise ValueError("seed must fit in 64 bits")
     hits = 0

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from fabius.cli import main
 from fabius.coefficients import phi_near_one
-from fabius.core import Dyadic, parse_rational
+from fabius.core import Dyadic, format_rational, parse_rational
 from fabius.exact import phi_derivative, phi_exact
 
 GOLDEN = Path(__file__).parent / "data" / "table_n5_golden.txt"
@@ -145,6 +146,68 @@ class TestDeepLevels:
         assert coeffs[0] == 1 - phi_near_one(40)
         assert coeffs[1] == 2 * (phi_exact(doubled + 1) - phi_exact(doubled - 1))
         assert coeffs[2] == phi_derivative(2, self.T) / 2
+
+
+class TestLevelCap:
+    def _forbid_work(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("evaluated above the level cap")
+
+        for name in ("phi_exact", "phi_derivative", "taylor_at"):
+            monkeypatch.setattr(f"fabius.cli.{name}", boom)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", "1", "129"), ("deriv", "1", "1", "129"), ("taylor", "1", "129", "2")],
+    )
+    def test_rejected_before_any_work(self, capsys, monkeypatch, argv):
+        self._forbid_work(monkeypatch)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "level must be in 0..128" in err
+
+    def test_canonical_level_is_checked(self, capsys, monkeypatch):
+        # 2/2^129 is 1/2^128, inside the cap
+        seen = []
+        monkeypatch.setattr("fabius.cli.phi_exact", lambda t: seen.append(t) or Fraction(0))
+        code, out, _ = run_cli(capsys, "eval", "2", "129")
+        assert code == 0
+        assert seen == [Dyadic(1, 128)]
+        assert out.splitlines()[0] == "0"
+
+    def test_env_override(self, capsys, monkeypatch):
+        monkeypatch.setenv("FABIUS_LEVEL_MAX", "3")
+        self._forbid_work(monkeypatch)
+        code, _, err = run_cli(capsys, "eval", "1", "4")
+        assert code == 1
+        assert "level must be in 0..3" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+class TestIntStrLimit:
+    def test_result_longer_than_limit_prints(self, capsys, monkeypatch):
+        monkeypatch.setenv("FABIUS_LEVEL_MAX", "140")
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "eval", "1", "140")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = format_rational(phi_exact(Dyadic(1, 140)))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(expected) > limit
+        assert out.splitlines()[0] == expected
+
+    def test_arguments_keep_the_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, _, err = run_cli(capsys, "eval", "9" * (limit + 1), "1")
+        assert code == 1
+        assert "invalid int value" in err
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestApprox:
@@ -283,3 +346,8 @@ class TestMc:
         code, _, err = run_cli(capsys, "mc", "0.5", "--samples", "10")
         assert code == 1
         assert "error" in err
+
+    def test_usage_error_on_deep_series(self, capsys):
+        code, _, err = run_cli(capsys, "mc", "-0.5", "--samples", "10", "--depth", "65")
+        assert code == 1
+        assert "depth must be in 8..64" in err

@@ -6,7 +6,7 @@ import pytest
 
 from fabius.core import Dyadic
 from fabius.exact import phi_exact
-from fabius.stochastic import BLOCK_SIZE, McEstimate, _block_hits, mc_phi
+from fabius.stochastic import BLOCK_SIZE, MAX_DEPTH, McEstimate, _block_hits, mc_phi
 
 SEED = 1234
 
@@ -58,6 +58,8 @@ class TestBoundaries:
         with pytest.raises(ValueError):
             mc_phi(-0.5, 100, 4, SEED)
         with pytest.raises(ValueError):
+            mc_phi(-0.5, 10, depth=MAX_DEPTH + 1)
+        with pytest.raises(ValueError):
             mc_phi(-0.5, 100, 40, -1)
 
 
@@ -89,3 +91,7 @@ class TestEstimateRecord:
         assert 0.0 <= est.estimate <= 1.0
         assert est.bias_bound == 2.0**-40
         assert est.samples == 1000 and est.depth == 40 and est.seed == 9
+
+    def test_deepest_accepted_depth(self):
+        est = mc_phi(-0.5, 1000, depth=MAX_DEPTH, seed=9)
+        assert est.depth == 64 and est.bias_bound == 2.0**-64
