@@ -9,8 +9,8 @@ violation (or selftest failure).
 Environment defaults (flags win): FABIUS_M_MAX for the product truncation,
 FABIUS_FOURIER_K for the synthesis length, FABIUS_TABLE_MAX for the largest
 level ``table`` accepts and the largest level ``eval`` will scan to find the
-minimal common denominator, FABIUS_LEVEL_MAX for the deepest level ``eval``,
-``deriv`` and ``taylor`` accept (default 128).
+minimal common denominator.  ``eval``, ``deriv`` and ``taylor`` accept
+levels up to the fixed ``MAX_LEVEL``.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ __all__ = ["main", "render_table"]
 USAGE_ERROR = 1
 INTEGRITY_ERROR = 2
 
+# Deepest canonical level eval, deriv and taylor accept; full-order Taylor
+# data grows about like n^5.5, so 128 already takes seconds.
+MAX_LEVEL = 128
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
@@ -64,8 +68,8 @@ def _env_int(name: str, default: int) -> int:
 def _point(args) -> Dyadic:
     """The canonical q/2^n of ``args``, rejected above the level cap before any work."""
     t = Dyadic(args.q, args.n)
-    if t.exp > args.level_max:
-        raise ValueError(f"level must be in 0..{args.level_max}")
+    if t.exp > MAX_LEVEL:
+        raise ValueError(f"level must be in 0..{MAX_LEVEL}")
     return t
 
 
@@ -305,7 +309,6 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table_max_default = _env_int("FABIUS_TABLE_MAX", 12)
-    level_max_default = _env_int("FABIUS_LEVEL_MAX", 128)
     m_max_default = _env_int("FABIUS_M_MAX", spectral.DEFAULT_M_MAX)
     fourier_k_default = _env_int("FABIUS_FOURIER_K", spectral.DEFAULT_FOURIER_K)
 
@@ -313,7 +316,7 @@ def build_parser() -> _Parser:
     p.add_argument("q", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--max-level", type=int, default=table_max_default)
-    p.set_defaults(func=_cmd_eval, level_max=level_max_default)
+    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("eval-float", help="float phi(t) via Fourier synthesis")
     p.add_argument("t", type=float, nargs="?", default=0.0)
@@ -337,13 +340,13 @@ def build_parser() -> _Parser:
     p.add_argument("k", type=int)
     p.add_argument("q", type=int)
     p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_deriv, level_max=level_max_default)
+    p.set_defaults(func=_cmd_deriv)
 
     p = sub.add_parser("taylor", help="exact Taylor coefficients at q/2^n")
     p.add_argument("q", type=int)
     p.add_argument("n", type=int)
     p.add_argument("order", type=int)
-    p.set_defaults(func=_cmd_taylor, level_max=level_max_default)
+    p.set_defaults(func=_cmd_taylor)
 
     p = sub.add_parser("approx", help="step-approximant plateaus as CSV")
     p.add_argument("m", type=int)

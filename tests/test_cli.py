@@ -176,8 +176,8 @@ class TestLevelCap:
         assert seen == [Dyadic(1, 128)]
         assert out.splitlines()[0] == "0"
 
-    def test_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("FABIUS_LEVEL_MAX", "3")
+    def test_cap_is_read_at_call_time(self, capsys, monkeypatch):
+        monkeypatch.setattr("fabius.cli.MAX_LEVEL", 3)
         self._forbid_work(monkeypatch)
         code, _, err = run_cli(capsys, "eval", "1", "4")
         assert code == 1
@@ -189,7 +189,7 @@ class TestLevelCap:
 )
 class TestIntStrLimit:
     def test_result_longer_than_limit_prints(self, capsys, monkeypatch):
-        monkeypatch.setenv("FABIUS_LEVEL_MAX", "140")
+        monkeypatch.setattr("fabius.cli.MAX_LEVEL", 140)
         limit = sys.get_int_max_str_digits()
         code, out, _ = run_cli(capsys, "eval", "1", "140")
         assert code == 0
