@@ -79,9 +79,6 @@ class IntPolynomial:
             total = total * x + a
         return total
 
-    def is_palindromic(self) -> bool:
-        return self._coeffs == self._coeffs[::-1]
-
 
 def partition_polynomial(n: int) -> IntPolynomial:
     """p_n as the product of its geometric blocks, each one prefix-sum pass."""
@@ -152,10 +149,6 @@ class StepFunction:
             Dyadic(2 * j - 1 - g, shift),
             Dyadic(2 * j + 1 - g, shift),
         )
-
-    @property
-    def support_left(self) -> Dyadic:
-        return self.interval(0)[0]
 
     def integral(self) -> Fraction:
         return sum(self.values, Fraction(0)) / (1 << self.level)

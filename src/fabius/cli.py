@@ -10,7 +10,8 @@ Environment defaults (flags win): FABIUS_M_MAX for the product truncation,
 FABIUS_FOURIER_K for the synthesis length, FABIUS_TABLE_MAX for the largest
 level ``table`` accepts and the largest level ``eval`` will scan to find the
 minimal common denominator.  ``eval``, ``deriv`` and ``taylor`` accept
-levels up to the fixed ``MAX_LEVEL``.
+levels up to the fixed ``MAX_LEVEL``, ``approx`` up to ``MAX_APPROX_LEVEL``
+and ``eval-float --grid`` up to ``MAX_GRID_LEVEL``.
 """
 
 from __future__ import annotations
@@ -41,8 +42,15 @@ USAGE_ERROR = 1
 INTEGRITY_ERROR = 2
 
 # Deepest canonical level eval, deriv and taylor accept; full-order Taylor
-# data grows about like n^5.5, so 128 already takes seconds.
+# data grows about like n^5.5, so 128 already takes seconds.  The level as
+# given may be at most twice that: eval's denominator bound at a raw level
+# n needs c up to n/2, about 1 s at n = 256 and 8 s at n = 428.
 MAX_LEVEL = 128
+# approx M has degree 2^(M+1) - M - 2, and each further M costs about 4x;
+# M = 16 takes about 1.5 s.
+MAX_APPROX_LEVEL = 16
+# eval-float --grid L prints 2^(L+1) + 1 rows; L = 14 takes about 1 s.
+MAX_GRID_LEVEL = 14
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,7 +74,9 @@ def _env_int(name: str, default: int) -> int:
 
 
 def _point(args) -> Dyadic:
-    """The canonical q/2^n of ``args``, rejected above the level cap before any work."""
+    """The canonical q/2^n of ``args``, rejected above the level caps before any work."""
+    if args.n > 2 * MAX_LEVEL:
+        raise ValueError(f"level as given must be at most {2 * MAX_LEVEL}")
     t = Dyadic(args.q, args.n)
     if t.exp > MAX_LEVEL:
         raise ValueError(f"level must be in 0..{MAX_LEVEL}")
@@ -147,10 +157,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_eval_float(args) -> int:
+    if args.grid is not None and not 0 <= args.grid <= MAX_GRID_LEVEL:
+        raise ValueError(f"grid level must be in 0..{MAX_GRID_LEVEL}")
     fc = spectral.fourier_coefficients(K=args.fourier_k, m_max=args.m_max)
     if args.grid is not None:
-        if args.grid < 0:
-            raise ValueError("grid level must be >= 0")
         values = level_values(args.grid)
         lines = ["t,phi_fourier,phi_exact_if_dyadic,abs_err"]
         rows = []
@@ -183,11 +193,7 @@ def _cmd_eval_float(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.n < 0 or args.n > args.max_level:
-        print(
-            f"fabius: error: table level must be in 0..{args.max_level}",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
+        raise ValueError(f"table level must be in 0..{args.max_level}")
     values, d = _level(args.n)
     lines = _table_rows(values, d)
     payload = {
@@ -245,6 +251,8 @@ def _cmd_taylor(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    if not 0 <= args.m <= MAX_APPROX_LEVEL:
+        raise ValueError(f"approx level must be in 0..{MAX_APPROX_LEVEL}")
     sf = step_function(args.m)
     lines = ["left_edge,right_edge,value"]
     rows = []

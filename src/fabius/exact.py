@@ -4,12 +4,12 @@ phi is the unique smooth function supported on [-1, 1] with phi(0) = 1 and
 phi'(t) = 2 (phi(2t+1) - phi(2t-1)).  At a dyadic point t = q/2^n its value
 is the finite double sum
 
-    phi(q/2^n) = 2 * sum_{h=0}^{q+2^n-1} sum_{k=0}^{floor(n/2)} (-1)^s(h)
-                 * 2^(C(2k+1,2) - C(n+1,2)) / (n-2k)!
-                 * (2(q-h) + 2^(n+1) - 1)^(n-2k) * phi(1 - 2^-(2k+1))
+    phi(q/2^n) = sum_{h=0}^{q+2^n-1} sum_{k=0}^{floor(n/2)} (-1)^s(h)
+                 * w_k * (2(q-h) + 2^(n+1) - 1)^(n-2k)
 
-with s(h) the binary digit sum and phi(1 - 2^-(2k+1)) taken from the exact
-coefficient tables.  :func:`phi_exact_raw` evaluates that sum literally, in
+with s(h) the binary digit sum and w_k = 2^(1 + C(2k+1,2) - C(n+1,2))
+phi(1 - 2^-(2k+1)) / (n-2k)! = C(n, 2k) c_k / (n! 2^C(n+1,2)) in the series
+coefficients c.  :func:`phi_exact_raw` evaluates that sum literally, in
 O(2^n * n) steps, and is kept as a differential-testing twin.
 
 :func:`phi_exact` folds the argument by evenness and by the reflection
@@ -22,7 +22,7 @@ block gives B_{m+1}(y) = B_m(y) - B_m(y - 2^(m+1)): n Taylor shifts and
 differences build a level's O(n^3) polynomials, B_m of degree n - m
 (Prouhet), and they are the only state kept.  A point then costs one Horner
 evaluation per block and a single Fraction, O(n^2) bigint steps;
-:func:`level_values` evaluates a level from its canonical half.
+:func:`level_values` evaluates q <= 2^(n-1) on the level's own plan.
 
 All derivatives reduce to theta(t) = sum_k (-1)^s(k) phi(t - 2k - 1), whose
 translates have disjoint open supports: phi^(k)(t) = 2^C(k+1,2) theta(2^k t + 2^k).
@@ -33,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
-from .coefficients import phi_near_one
+from .coefficients import series_coefficients
 from .core import Dyadic, thue_morse_sign
 
 __all__ = [
@@ -58,11 +58,10 @@ def as_dyadic(t: Dyadic | int | Fraction) -> Dyadic:
     return Dyadic.from_fraction(Fraction(t))
 
 
-def _weight(n: int, k: int) -> Fraction:
-    # prefactor of the inner integer sum for exponent j = n - 2k
-    e = k * (2 * k + 1) - n * (n + 1) // 2
-    scale = Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
-    return 2 * scale / factorial(n - 2 * k) * phi_near_one(2 * k + 1)
+def _weights(n: int) -> list[Fraction]:
+    # w_k = C(n, 2k) c_k / (n! 2^C(n+1,2)), the weight of exponent n - 2k
+    scale = factorial(n) << (n * (n + 1) // 2)
+    return [comb(n, 2 * k) * c / scale for k, c in enumerate(series_coefficients(n // 2))]
 
 
 def phi_exact_raw(q: int, n: int) -> Fraction:
@@ -77,17 +76,20 @@ def phi_exact_raw(q: int, n: int) -> Fraction:
     if abs(q) > (1 << n) or (abs(q) == (1 << n) and n > 0):
         raise ValueError("phi_exact_raw requires |q| < 2^n")
     top = q + (1 << n)  # h runs over 0 .. q + 2^n - 1
+    weights = _weights(n)
     total = Fraction(0)
     for h in range(top):
         base = 2 * (q - h) + (1 << (n + 1)) - 1
         sign = thue_morse_sign(h)
-        for k in range(n // 2 + 1):
-            term = _weight(n, k) * base ** (n - 2 * k)
+        for k, w in enumerate(weights):
+            term = w * base ** (n - 2 * k)
             total += term if sign > 0 else -term
     return total
 
 
-@lru_cache(maxsize=32)  # a level grid reaches every coarser level too
+# selftest criterion 4 (levels 0..10), the session workload (10..16) and
+# taylor (at most 9 levels) revisit levels; a level grid builds one plan
+@lru_cache(maxsize=12)
 def _level_plan(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Common denominator D of level n and one integer polynomial per block size.
 
@@ -97,10 +99,11 @@ def _level_plan(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     its two halves gives B_{m+1}(y) = B_m(y) - B_m(y - 2^(m+1)); the leading
     terms cancel, so B_m has degree n - m (Prouhet).
     """
-    d = level_denominator_bound(n)
+    weights = _weights(n)
+    d = lcm(*(w.denominator for w in weights))
     p = [0] * (n + 1)
-    for k in range(n // 2 + 1):
-        p[2 * k] = (_weight(n, k) * d).numerator
+    for k, w in enumerate(weights):
+        p[2 * k] = (w * d).numerator
     blocks = [tuple(p)]
     for m in range(1, n + 1):
         g = p[:]  # Taylor shift g(y) = p(y - 2^m)
@@ -113,7 +116,7 @@ def _level_plan(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def _phi_folded(q: int, n: int) -> Fraction:
-    # canonical q odd (or q == 0, n == 0), 0 <= q/2^n <= 1/2.  The sum over
+    # 0 <= q <= 2^(n-1), of any parity: no fold to a coarser level.  The sum over
     # h < top = q + 2^n of (-1)^s(h) (2 top - 1 - 2h)^j splits along the set
     # bits of top into aligned blocks [start, start + 2^m), where
     # s(start + h') = s(start) + s(h').
@@ -149,7 +152,7 @@ def level_values(n: int) -> list[Fraction]:
     if n < 0:
         raise ValueError("level n must be >= 0")
     top = 1 << n
-    values = [phi_exact(Dyadic(q, n)) for q in range(top // 2 + 1)]
+    values = [_phi_folded(q, n) for q in range(top // 2 + 1)]
     return values + [1 - values[top - q] for q in range(len(values), top + 1)]
 
 
@@ -162,10 +165,7 @@ def level_denominator_bound(n: int) -> int:
     """
     if n < 0:
         raise ValueError("level n must be >= 0")
-    d = 1
-    for k in range(n // 2 + 1):
-        d = lcm(d, _weight(n, k).denominator)
-    return d
+    return lcm(*(w.denominator for w in _weights(n)))
 
 
 def theta_exact(t: Dyadic | int | Fraction) -> Fraction:

@@ -22,6 +22,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def forbid(monkeypatch, *targets):
+    """Make each target raise, to show that rejected input starts no work."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("worked above a cap")
+
+    for target in targets:
+        monkeypatch.setattr(target, boom)
+
+
 class TestEval:
     @pytest.mark.parametrize(
         "q,n,expected",
@@ -77,6 +87,7 @@ class TestTable:
     def test_cap_enforced(self, capsys):
         code, _, err = run_cli(capsys, "table", "13")
         assert code == 1
+        assert err == "fabius: error: table level must be in 0..12\n"
         code, out, _ = run_cli(capsys, "--json", "table", "3", "--max-level", "3")
         assert code == 0
         assert json.loads(out)["payload"]["level"] == 3
@@ -150,11 +161,8 @@ class TestDeepLevels:
 
 class TestLevelCap:
     def _forbid_work(self, monkeypatch):
-        def boom(*args):
-            raise AssertionError("evaluated above the level cap")
-
-        for name in ("phi_exact", "phi_derivative", "taylor_at"):
-            monkeypatch.setattr(f"fabius.cli.{name}", boom)
+        names = ("phi_exact", "phi_derivative", "taylor_at", "level_denominator_bound")
+        forbid(monkeypatch, *(f"fabius.cli.{name}" for name in names))
 
     @pytest.mark.parametrize(
         "argv",
@@ -175,6 +183,15 @@ class TestLevelCap:
         assert code == 0
         assert seen == [Dyadic(1, 128)]
         assert out.splitlines()[0] == "0"
+
+    def test_raw_level_rejected_before_reduction(self, capsys, monkeypatch):
+        # 2^300/2^428 reduces to level 128, but eval's denominator bound at
+        # the raw level 428 alone takes seconds
+        self._forbid_work(monkeypatch)
+        code, out, err = run_cli(capsys, "eval", str(1 << 300), "428")
+        assert code == 1
+        assert out == ""
+        assert "level as given must be at most 256" in err
 
     def test_cap_is_read_at_call_time(self, capsys, monkeypatch):
         monkeypatch.setattr("fabius.cli.MAX_LEVEL", 3)
@@ -208,6 +225,24 @@ class TestIntStrLimit:
         assert code == 1
         assert "invalid int value" in err
         assert sys.get_int_max_str_digits() == limit
+
+
+class TestInputCaps:
+    @pytest.mark.parametrize("m", ["17", "-1"])
+    def test_approx_level(self, capsys, monkeypatch, m):
+        forbid(monkeypatch, "fabius.cli.step_function")
+        code, out, err = run_cli(capsys, "approx", m)
+        assert code == 1
+        assert out == ""
+        assert "approx level must be in 0..16" in err
+
+    @pytest.mark.parametrize("level", ["15", "-1"])
+    def test_grid_level(self, capsys, monkeypatch, level):
+        forbid(monkeypatch, "fabius.cli.level_values", "fabius.spectral.fourier_coefficients")
+        code, out, err = run_cli(capsys, "eval-float", "--grid", level)
+        assert code == 1
+        assert out == ""
+        assert "grid level must be in 0..14" in err
 
 
 class TestApprox:

@@ -17,7 +17,7 @@ from fabius.coefficients import phi_near_one
 from fabius.core import Dyadic, thue_morse_sign
 from fabius.exact import (
     _level_plan,
-    _weight,
+    _weights,
     level_denominator_bound,
     level_values,
     phi_derivative,
@@ -111,7 +111,7 @@ class TestBlockEvaluator:
     def test_block_polynomials_against_brute_force(self):
         for n in range(8):
             d, blocks = _level_plan(n)
-            weights = [_weight(n, k) for k in range(n // 2 + 1)]
+            weights = _weights(n)
             for m in range(n + 1):
                 block = blocks[m]
                 assert len(block) == n - m + 1 and block[0] != 0, (n, m)
@@ -125,6 +125,15 @@ class TestBlockEvaluator:
                         for k, w in enumerate(weights)
                     )
                     assert horner == literal, (n, m, y)
+
+    def test_weights_match_moment_route(self):
+        # the paper's weight, with phi(1 - 2^-(2k+1)) from the moment recurrence
+        def moment_route(n, k):
+            scale = Fraction(1 << k * (2 * k + 1), 1 << n * (n + 1) // 2)
+            return 2 * scale / factorial(n - 2 * k) * phi_near_one(2 * k + 1)
+
+        for n in [*range(41), 64, 128]:
+            assert _weights(n) == [moment_route(n, k) for k in range(n // 2 + 1)], n
 
     @staticmethod
     def _deep_points():
@@ -169,6 +178,11 @@ class TestLevelValues:
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
             level_values(-1)
+
+    def test_cold_level_builds_one_plan(self):
+        _level_plan.cache_clear()
+        level_values(10)
+        assert _level_plan.cache_info().currsize == 1
 
     def test_level_sweep_keeps_no_per_point_state(self):
         # a fresh interpreter, so no earlier sweep has filled a cache already;
