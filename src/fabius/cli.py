@@ -10,8 +10,10 @@ Environment defaults (flags win): FABIUS_M_MAX for the product truncation,
 FABIUS_FOURIER_K for the synthesis length, FABIUS_TABLE_MAX for the largest
 level ``table`` accepts and the largest level ``eval`` will scan to find the
 minimal common denominator.  ``eval``, ``deriv`` and ``taylor`` accept
-levels up to the fixed ``MAX_LEVEL``, ``approx`` up to ``MAX_APPROX_LEVEL``
-and ``eval-float --grid`` up to ``MAX_GRID_LEVEL``.
+levels up to the fixed ``MAX_LEVEL``, ``approx`` up to ``MAX_APPROX_LEVEL``,
+``coeffs`` counts up to ``MAX_COEFFS``, and ``eval-float --grid`` as well
+as the ``--max-level`` of ``eval`` and ``table`` (and so
+FABIUS_TABLE_MAX) up to ``MAX_GRID_LEVEL``.
 """
 
 from __future__ import annotations
@@ -49,8 +51,11 @@ MAX_LEVEL = 128
 # approx M has degree 2^(M+1) - M - 2, and each further M costs about 4x;
 # M = 16 takes about 1.5 s.
 MAX_APPROX_LEVEL = 16
-# eval-float --grid L prints 2^(L+1) + 1 rows; L = 14 takes about 1 s.
+# eval-float --grid L prints 2^(L+1) + 1 rows; L = 14 takes about 1 s.  It
+# also caps the level scan of eval and table, whose cost doubles per level.
 MAX_GRID_LEVEL = 14
+# coeffs G 300 takes about 6 s and coeffs c 300 about 50 s.
+MAX_COEFFS = 300
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,6 +76,15 @@ def _env_int(name: str, default: int) -> int:
         return int(raw)
     except ValueError:
         raise SystemExit(f"invalid {name}={raw!r}")
+
+
+def _max_level(args) -> int:
+    """The scan cap of eval and table, rejected above ``MAX_GRID_LEVEL``."""
+    if args.max_level > MAX_GRID_LEVEL:
+        raise ValueError(
+            f"--max-level (or FABIUS_TABLE_MAX) must be at most {MAX_GRID_LEVEL}"
+        )
+    return args.max_level
 
 
 def _point(args) -> Dyadic:
@@ -134,9 +148,10 @@ def _as_int(value: Fraction) -> int:
 
 
 def _cmd_eval(args) -> int:
+    max_level = _max_level(args)
     t = _point(args)
     value = phi_exact(t)
-    if args.n <= args.max_level:
+    if args.n <= max_level:
         d = level_denominator(args.n)
     else:
         # beyond the scan cap: valid but possibly non-minimal
@@ -192,8 +207,9 @@ def _cmd_eval_float(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.n < 0 or args.n > args.max_level:
-        raise ValueError(f"table level must be in 0..{args.max_level}")
+    max_level = _max_level(args)
+    if not 0 <= args.n <= max_level:
+        raise ValueError(f"table level must be in 0..{max_level}")
     values, d = _level(args.n)
     lines = _table_rows(values, d)
     payload = {
@@ -207,6 +223,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     n = args.count
+    if not 0 <= n <= MAX_COEFFS:
+        raise ValueError(f"coeffs count must be in 0..{MAX_COEFFS}")
     if args.which == "c":
         values = [format_rational(v) for v in series_coefficients(n)]
     elif args.which == "F":

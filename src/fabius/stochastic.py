@@ -8,6 +8,14 @@ reproducible regardless of how work is scheduled: sample block i is generated
 from Philox keyed by (seed, i), so the estimate depends only on
 (x, samples, depth, seed), never on worker count.
 
+The blocks of one run are split into stripes over one worker per available
+CPU, never more workers than blocks: the calling thread works the first
+stripe and a plain thread each of the others.  numpy releases the GIL
+inside the draws and the array arithmetic, and the integer hit counts add
+up to the same total in any order.  Each block draws one depth term at a
+time into a reused buffer of ``_CHUNK`` doubles, so a worker holds its
+running sums and one chunk, not a second block-sized temporary.
+
 numpy is imported on the first block drawn, not with this module, so the
 exact commands that import the package never load it.
 """
@@ -15,6 +23,8 @@ exact commands that import the package never load it.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 __all__ = ["BLOCK_SIZE", "McEstimate", "mc_phi"]
@@ -23,9 +33,17 @@ __all__ = ["BLOCK_SIZE", "McEstimate", "mc_phi"]
 # change which block a sample belongs to.
 BLOCK_SIZE = 1 << 16
 
+# Doubles drawn per call within a block; consecutive draws continue one
+# Philox stream, so the chunking never changes which double a sample gets.
+_CHUNK = 1 << 14
+
 # Deepest series truncation accepted: a double-precision sum gains nothing
 # beyond about 53 terms, and each term costs a full pass over the block.
 MAX_DEPTH = 64
+
+# Largest run accepted: 10^8 samples take about half a minute on two CPUs,
+# and the standard error is already below 10^-4.
+MAX_SAMPLES = 10**8
 
 
 @dataclass(frozen=True)
@@ -58,12 +76,23 @@ def _block_hits(x: float, seed: int, block_index: int, count: int, depth: int) -
         np.random.Philox(key=np.array([seed, block_index], dtype=np.uint64))
     )
     total = np.zeros(count)
+    buffer = np.empty(min(count, _CHUNK))
     weight = 0.5
     for _ in range(depth):
-        total += rng.random(count) * weight
+        for start in range(0, count, _CHUNK):
+            part = buffer[: min(_CHUNK, count - start)]
+            rng.random(out=part)
+            part *= weight
+            total[start : start + len(part)] += part
         weight *= 0.5
     # boundary counted as a hit (closed inequality); measure-zero event
     return int(np.count_nonzero(total <= x + 1.0))
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def mc_phi(x: float, samples: int, depth: int = 40, seed: int = 0) -> McEstimate:
@@ -74,21 +103,40 @@ def mc_phi(x: float, samples: int, depth: int = 40, seed: int = 0) -> McEstimate
     """
     if not -1.0 <= x <= 0.0:
         raise ValueError("mc_phi requires x in [-1, 0]")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be in 1..{MAX_SAMPLES}")
     if not 8 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in 8..{MAX_DEPTH}")
     if not 0 <= seed < 1 << 64:
         raise ValueError("seed must fit in 64 bits")
-    hits = 0
-    done = 0
-    block = 0
-    while done < samples:
-        count = min(BLOCK_SIZE, samples - done)
-        hits += _block_hits(x, seed, block, count, depth)
-        done += count
-        block += 1
-    p = hits / samples
+    blocks = -(-samples // BLOCK_SIZE)
+    workers = min(_cpus(), blocks)
+    # one slot per stripe, written only by the worker that owns it
+    hits = [0] * workers
+    errors = []
+
+    def work(stripe: int) -> None:
+        for block in range(stripe, blocks, workers):
+            count = min(BLOCK_SIZE, samples - block * BLOCK_SIZE)
+            hits[stripe] += _block_hits(x, seed, block, count, depth)
+
+    def helper(stripe: int) -> None:
+        try:
+            work(stripe)
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=helper, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    p = sum(hits) / samples
     stderr = math.sqrt(p * (1.0 - p) / samples)
     return McEstimate(
         x=x, samples=samples, depth=depth, estimate=p, stderr=stderr, seed=seed

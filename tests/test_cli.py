@@ -244,6 +244,36 @@ class TestInputCaps:
         assert out == ""
         assert "grid level must be in 0..14" in err
 
+    @pytest.mark.parametrize("which", ["c", "F", "d", "G"])
+    @pytest.mark.parametrize("count", ["301", "-1"])
+    def test_coeffs_count(self, capsys, monkeypatch, which, count):
+        forbid(
+            monkeypatch,
+            "fabius.cli.series_coefficients",
+            "fabius.cli.exp_moment_coefficients",
+        )
+        code, out, err = run_cli(capsys, "coeffs", which, count)
+        assert code == 1
+        assert out == ""
+        assert "coeffs count must be in 0..300" in err
+
+    @pytest.mark.parametrize("argv", [("eval", "1", "3"), ("table", "3")])
+    def test_scan_level_flag(self, capsys, monkeypatch, argv):
+        forbid(monkeypatch, "fabius.cli.level_values", "fabius.cli.phi_exact")
+        code, out, err = run_cli(capsys, *argv, "--max-level", "15")
+        assert code == 1
+        assert out == ""
+        assert "--max-level (or FABIUS_TABLE_MAX) must be at most 14" in err
+
+    @pytest.mark.parametrize("argv", [("eval", "1", "3"), ("table", "3")])
+    def test_scan_level_env(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("FABIUS_TABLE_MAX", "15")
+        forbid(monkeypatch, "fabius.cli.level_values", "fabius.cli.phi_exact")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "must be at most 14" in err
+
 
 class TestApprox:
     def test_csv_roundtrip(self, capsys):

@@ -13,7 +13,8 @@ import textwrap
 
 import fabius
 
-# (argv, exit code); the mc depths are rejected before any block is drawn
+# (argv, exit code); the mc depths and sample count are rejected before any
+# block is drawn
 EXACT_COMMANDS = [
     (["eval", "1", "3"], 0),
     (["deriv", "2", "1", "5"], 0),
@@ -26,6 +27,7 @@ EXACT_COMMANDS = [
     (["fourier-coeffs", "16"], 0),
     (["mc", "-0.5", "--depth", "4"], 1),
     (["mc", "-0.5", "--samples", "10", "--depth", "65"], 1),
+    (["mc", "-0.5", "--samples", "100000001"], 1),
 ]
 
 # Runs each argv of the JSON list in argv[1] through main() and prints one

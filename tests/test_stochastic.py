@@ -1,12 +1,23 @@
-"""Monte Carlo oracle: determinism, block independence, agreement."""
+"""Monte Carlo oracle: determinism, block independence, parallel blocks, agreement."""
 
+import threading
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from fabius import stochastic
 from fabius.core import Dyadic
 from fabius.exact import phi_exact
-from fabius.stochastic import BLOCK_SIZE, MAX_DEPTH, McEstimate, _block_hits, mc_phi
+from fabius.stochastic import (
+    BLOCK_SIZE,
+    MAX_DEPTH,
+    MAX_SAMPLES,
+    McEstimate,
+    _block_hits,
+    mc_phi,
+)
 
 SEED = 1234
 
@@ -40,6 +51,80 @@ class TestDeterminism:
                 assert abs(a.estimate - b.estimate) <= 8 * max(a.stderr, b.stderr)
 
 
+def _one_line_hits(x, seed, block_index, count, depth):
+    """The unchunked block kernel: one full-length draw per depth term."""
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([seed, block_index], dtype=np.uint64))
+    )
+    total = np.zeros(count)
+    weight = 0.5
+    for _ in range(depth):
+        total += rng.random(count) * weight
+        weight *= 0.5
+    return int(np.count_nonzero(total <= x + 1.0))
+
+
+def _patch_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(
+        stochastic.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+    )
+
+
+class TestParallelBlocks:
+    def test_estimate_independent_of_worker_count(self, monkeypatch):
+        samples = 3 * BLOCK_SIZE + 777
+        runs = []
+        for cpus in (1, 2, 3):
+            _patch_cpus(monkeypatch, cpus)
+            runs.append(mc_phi(-0.5, samples, 40, SEED))
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("depth", [8, 40, 64])
+    @pytest.mark.parametrize(
+        "count",
+        [1, stochastic._CHUNK - 1, stochastic._CHUNK, stochastic._CHUNK + 1, BLOCK_SIZE],
+    )
+    def test_chunked_kernel_matches_one_line_kernel(self, count, depth):
+        for x in (-0.75, -0.5, -0.3):
+            assert _block_hits(x, SEED, 5, count, depth) == _one_line_hits(
+                x, SEED, 5, count, depth
+            )
+
+    @pytest.mark.parametrize("blocks,cpus,helpers", [(1, 2, 0), (4, 2, 1)])
+    def test_helper_threads_started(self, monkeypatch, blocks, cpus, helpers):
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        _patch_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(stochastic.threading, "Thread", CountingThread)
+        mc_phi(-0.5, blocks * BLOCK_SIZE, 8, SEED)
+        assert len(started) == helpers
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_helper_error_is_raised(self, monkeypatch):
+        class Boom(RuntimeError):
+            pass
+
+        def block_hits(x, seed, block_index, count, depth):
+            # with 2 workers, odd blocks belong to the helper thread; it fails
+            # well after the calling thread has finished its own stripe
+            if block_index == 1:
+                time.sleep(0.1)
+                raise Boom
+            return 0
+
+        before = threading.active_count()
+        _patch_cpus(monkeypatch, 2)
+        monkeypatch.setattr(stochastic, "_block_hits", block_hits)
+        with pytest.raises(Boom):
+            mc_phi(-0.5, 4 * BLOCK_SIZE, 8, SEED)
+        assert threading.active_count() == before
+
+
 class TestBoundaries:
     def test_left_support_edge_is_exact_zero(self):
         est = mc_phi(-1.0, 10_000, 40, SEED)
@@ -61,6 +146,8 @@ class TestBoundaries:
             mc_phi(-0.5, 10, depth=MAX_DEPTH + 1)
         with pytest.raises(ValueError):
             mc_phi(-0.5, 100, 40, -1)
+        with pytest.raises(ValueError):
+            mc_phi(-0.5, MAX_SAMPLES + 1, 40, SEED)
 
 
 class TestAgreement:
