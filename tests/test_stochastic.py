@@ -1,5 +1,6 @@
 """Monte Carlo oracle: determinism, block independence, parallel blocks, agreement."""
 
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -72,11 +73,18 @@ def _patch_cpus(monkeypatch, cpus):
 
 class TestParallelBlocks:
     def test_estimate_independent_of_worker_count(self, monkeypatch):
+        # 3 workers exceed the 2 CPUs of a small machine; a short switch
+        # interval makes a lost update of the hit counts likely to show
         samples = 3 * BLOCK_SIZE + 777
         runs = []
-        for cpus in (1, 2, 3):
-            _patch_cpus(monkeypatch, cpus)
-            runs.append(mc_phi(-0.5, samples, 40, SEED))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cpus in (1, 2, 3):
+                _patch_cpus(monkeypatch, cpus)
+                runs.append(mc_phi(-0.5, samples, 40, SEED))
+        finally:
+            sys.setswitchinterval(interval)
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("depth", [8, 40, 64])
