@@ -21,6 +21,7 @@ __all__ = [
     "IntPolynomial",
     "partition_polynomial",
     "partition_polynomial_degree",
+    "plateau_numerators",
     "restricted_partitions",
     "StepFunction",
     "step_function",
@@ -187,8 +188,16 @@ class StepFunction:
         return Fraction(0)
 
 
+def plateau_numerators(n: int) -> tuple[tuple[int, ...], int]:
+    """(p_n's coefficients, E): plateau j of level n is worth p_n[j] / 2^E.
+
+    E = C(n, 2), since 2^n / 2^C(n+1,2) = 2^-C(n,2).
+    """
+    return partition_polynomial(n).coeffs, n * (n - 1) // 2
+
+
 def step_function(n: int) -> StepFunction:
     """Build the level-n step approximant from p_n."""
-    poly = partition_polynomial(n)
-    scale = Fraction(1 << n, 1 << (n * (n + 1) // 2))
-    return StepFunction(level=n, values=tuple(scale * a for a in poly.coeffs))
+    numerators, exp = plateau_numerators(n)
+    scale = Fraction(1, 1 << exp)
+    return StepFunction(level=n, values=tuple(scale * a for a in numerators))

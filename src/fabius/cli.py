@@ -27,14 +27,14 @@ from fractions import Fraction
 from math import isfinite, lcm
 
 from . import spectral, stochastic
-from .approximants import step_function
+from .approximants import plateau_numerators
 from .coefficients import (
     exp_moment_coefficients,
     exp_moment_integer_numerators,
     series_coefficients,
     series_integer_numerators,
 )
-from .core import Dyadic, format_rational
+from .core import Dyadic, canonical_dyadic, format_rational
 from .exact import level_denominator_bound, level_values, phi_derivative
 from .exact import phi_exact, taylor_at
 
@@ -269,18 +269,26 @@ def _cmd_taylor(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    if not 0 <= args.m <= MAX_APPROX_LEVEL:
+    m = args.m
+    if not 0 <= m <= MAX_APPROX_LEVEL:
         raise ValueError(f"approx level must be in 0..{MAX_APPROX_LEVEL}")
-    sf = step_function(args.m)
+    numerators, exp = plateau_numerators(m)
+    g = len(numerators) - 1
+    # plateau j spans [(2j-1-g)/2^(m+1), (2j+1-g)/2^(m+1)) = [edges[j], edges[j+1]),
+    # each edge printed as str(Dyadic), each value as format_rational prints it
+    edges = [
+        "%d/2^%d" % canonical_dyadic(2 * j - 1 - g, m + 1) for j in range(g + 2)
+    ]
+    values = []
+    for a in numerators:
+        num, den_exp = canonical_dyadic(a, exp)
+        values.append(f"{num}/{1 << den_exp}" if den_exp else str(num))
     lines = ["left_edge,right_edge,value"]
     rows = []
-    for j, value in enumerate(sf.values):
-        left, right = sf.interval(j)
-        rows.append(
-            {"left": str(left), "right": str(right), "value": format_rational(value)}
-        )
-        lines.append(f"{left},{right},{format_rational(value)}")
-    _emit(args, "approx", {"level": args.m, "plateaus": rows}, lines)
+    for j, value in enumerate(values):
+        rows.append({"left": edges[j], "right": edges[j + 1], "value": value})
+        lines.append(f"{edges[j]},{edges[j + 1]},{value}")
+    _emit(args, "approx", {"level": m, "plateaus": rows}, lines)
     return 0
 
 

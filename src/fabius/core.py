@@ -16,6 +16,7 @@ from functools import total_ordering
 
 __all__ = [
     "Dyadic",
+    "canonical_dyadic",
     "digit_sum",
     "val2",
     "thue_morse_sign",
@@ -53,6 +54,14 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+def canonical_dyadic(num: int, exp: int) -> tuple[int, int]:
+    """num / 2^exp (exp >= 0) as the pair ``Dyadic`` stores: exp == 0 or num odd."""
+    if num == 0:
+        return 0, 0
+    shift = min(exp, (num & -num).bit_length() - 1)
+    return num >> shift, exp - shift
+
+
 _DYADIC_RE = re.compile(r"^([+-]?\d+)/2\^(\d+)$")
 
 
@@ -70,14 +79,7 @@ class Dyadic:
     def __init__(self, num: int, exp: int = 0) -> None:
         if exp < 0:
             raise ValueError("negative exponents are not stored; shift the numerator")
-        if num == 0:
-            exp = 0
-        else:
-            shift = min(exp, (num & -num).bit_length() - 1)
-            num >>= shift
-            exp -= shift
-        self._num = num
-        self._exp = exp
+        self._num, self._exp = canonical_dyadic(num, exp)
 
     @property
     def num(self) -> int:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from fabius.approximants import step_function
 from fabius.cli import main
 from fabius.coefficients import phi_near_one
 from fabius.core import Dyadic, format_rational, parse_rational
@@ -230,7 +231,7 @@ class TestIntStrLimit:
 class TestInputCaps:
     @pytest.mark.parametrize("m", ["17", "-1"])
     def test_approx_level(self, capsys, monkeypatch, m):
-        forbid(monkeypatch, "fabius.cli.step_function")
+        forbid(monkeypatch, "fabius.cli.plateau_numerators")
         code, out, err = run_cli(capsys, "approx", m)
         assert code == 1
         assert out == ""
@@ -290,6 +291,26 @@ class TestApprox:
             total += parse_rational(value) * width
         assert widths == {Fraction(1, 4)}
         assert total == 1
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_rows_match_step_function(self, capsys, m):
+        # the rows are rendered from integers; the oracle renders the
+        # StepFunction's Dyadic edges and Fraction values
+        sf = step_function(m)
+        expected = []
+        for j, value in enumerate(sf.values):
+            left, right = sf.interval(j)
+            expected.append([str(left), str(right), format_rational(value)])
+        _, out, _ = run_cli(capsys, "approx", str(m))
+        lines = out.splitlines()
+        assert lines[0] == "left_edge,right_edge,value"
+        assert [line.split(",") for line in lines[1:]] == expected
+        _, out, _ = run_cli(capsys, "--json", "approx", str(m))
+        payload = json.loads(out)["payload"]
+        assert payload["level"] == m
+        assert [[r["left"], r["right"], r["value"]] for r in payload["plateaus"]] == (
+            expected
+        )
 
 
 class TestFourierAndFloat:

@@ -52,8 +52,8 @@ class TestDeterminism:
                 assert abs(a.estimate - b.estimate) <= 8 * max(a.stderr, b.stderr)
 
 
-def _one_line_hits(x, seed, block_index, count, depth):
-    """The unchunked block kernel: one full-length draw per depth term."""
+def _one_line_totals(seed, block_index, count, depth):
+    """Every sample's sum of all depth terms, one full-length draw per term."""
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, block_index], dtype=np.uint64))
     )
@@ -62,6 +62,12 @@ def _one_line_hits(x, seed, block_index, count, depth):
     for _ in range(depth):
         total += rng.random(count) * weight
         weight *= 0.5
+    return total
+
+
+def _one_line_hits(x, seed, block_index, count, depth):
+    """The unchunked, single-phase block kernel."""
+    total = _one_line_totals(seed, block_index, count, depth)
     return int(np.count_nonzero(total <= x + 1.0))
 
 
@@ -131,6 +137,83 @@ class TestParallelBlocks:
         with pytest.raises(Boom):
             mc_phi(-0.5, 4 * BLOCK_SIZE, 8, SEED)
         assert threading.active_count() == before
+
+
+class TestTwoPhaseKernel:
+    # Phase 1 stops drawing a sample once its total is above thr = x + 1
+    # (later terms are >= 0 and a rounded add never lowers a total) or at
+    # most thr - 2^-(k-1) - 2^-46 after term k (later terms add less than
+    # 2^-k, their at most 64 rounded adds err by at most 2^-53 each);
+    # phase 2 finishes the few open samples from their Philox counters.
+    # The hit count must equal summing every term for every sample.
+    @pytest.mark.parametrize("depth", [8, 9, 20, 40, 53, 64])
+    @pytest.mark.parametrize(
+        "count",
+        [
+            1,
+            2,
+            stochastic._CHUNK - 1,
+            stochastic._CHUNK,
+            stochastic._CHUNK + 1,
+            BLOCK_SIZE,
+        ],
+    )
+    def test_matches_one_line_kernel(self, count, depth):
+        total = _one_line_totals(SEED, 3, count, depth)
+        for x in (-1.0, -0.999999, -0.75, -0.5, -0.3, -1e-9, 0.0):
+            expected = int(np.count_nonzero(total <= x + 1.0))
+            assert _block_hits(x, SEED, 3, count, depth) == expected
+
+    @pytest.mark.parametrize("depth", [9, 20, 53, 64])
+    def test_sample_exactly_on_threshold_is_a_hit(self, depth):
+        total = _one_line_totals(SEED, 4, BLOCK_SIZE, depth)
+        t = float(total[np.flatnonzero(total >= 0.5)[0]])
+        # both differences are exact for totals in [0.5, 1]
+        x = t - 1.0
+        below = float(np.nextafter(t, 0.0)) - 1.0
+        assert x + 1.0 == t
+        assert _one_line_hits(x, SEED, 4, BLOCK_SIZE, depth) > _one_line_hits(
+            below, SEED, 4, BLOCK_SIZE, depth
+        )
+        assert _block_hits(x, SEED, 4, BLOCK_SIZE, depth) == _one_line_hits(
+            x, SEED, 4, BLOCK_SIZE, depth
+        )
+        assert _block_hits(below, SEED, 4, BLOCK_SIZE, depth) == _one_line_hits(
+            below, SEED, 4, BLOCK_SIZE, depth
+        )
+
+    @pytest.mark.parametrize("x", [-0.75, -0.5, -0.3])
+    def test_phase_two_is_live(self, monkeypatch, x):
+        # scalar draws must run, and only for a small share of the block
+        scalar_draws = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            if "counter" in kwargs:
+                scalar_draws.append(kwargs["counter"])
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        hits = _block_hits(x, SEED, 6, BLOCK_SIZE, 53)
+        monkeypatch.undo()
+        assert 0 < len(scalar_draws) < BLOCK_SIZE // 256
+        assert hits == _one_line_hits(x, SEED, 6, BLOCK_SIZE, 53)
+
+    @pytest.mark.parametrize("seed,block", [(SEED, 0), (2**64 - 1, 15)])
+    def test_stream_double_reads_the_generator_stream(self, seed, block):
+        # if numpy changed Philox's counter or its word-to-double mapping,
+        # phase 2 would read other doubles than phase 1 draws
+        key = np.array([seed, block], dtype=np.uint64)
+        chunk = stochastic._CHUNK
+        positions = [
+            *(0, 1, 2, 3, 4, 5, 7, 8),
+            *(chunk - 1, chunk, BLOCK_SIZE - 1, BLOCK_SIZE, 3 * BLOCK_SIZE + 5),
+        ]
+        stream = np.random.Generator(np.random.Philox(key=key)).random(
+            max(positions) + 1
+        )
+        for p in positions:
+            assert stochastic._stream_double(key, p) == stream[p]
 
 
 class TestBoundaries:
