@@ -11,9 +11,9 @@ converges to phi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from .core import Dyadic
 
@@ -121,8 +121,7 @@ def restricted_partitions(m: int, r: int) -> int:
     return count(m, r)
 
 
-@dataclass(frozen=True)
-class StepFunction:
+class StepFunction(NamedTuple):
     """Level-n step approximant to phi.
 
     Plateau j covers [(2j-1-g)/2^(n+1), (2j+1-g)/2^(n+1)) with exact rational

@@ -13,21 +13,23 @@ minimal common denominator.  ``eval``, ``deriv`` and ``taylor`` accept
 levels up to the fixed ``MAX_LEVEL``, ``approx`` up to ``MAX_APPROX_LEVEL``,
 ``coeffs`` counts up to ``MAX_COEFFS``, and ``eval-float --grid`` as well
 as the ``--max-level`` of ``eval`` and ``table`` (and so
-FABIUS_TABLE_MAX) up to ``MAX_GRID_LEVEL``.
+FABIUS_TABLE_MAX) up to ``MAX_GRID_LEVEL``.  The synthesis length is capped
+at ``MAX_FOURIER_K`` and the product truncation at ``MAX_M_MAX``.
+
+Each command imports only the layers it runs: the exact commands never load
+``spectral``, ``stochastic``, ``approximants`` or ``json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 from math import isfinite, lcm
 
-from . import spectral, stochastic
-from .approximants import plateau_numerators
 from .coefficients import (
     exp_moment_coefficients,
     exp_moment_integer_numerators,
@@ -56,6 +58,13 @@ MAX_APPROX_LEVEL = 16
 MAX_GRID_LEVEL = 14
 # coeffs G 300 takes about 6 s and coeffs c 300 about 50 s.
 MAX_COEFFS = 300
+# Synthesis length K: time grows linearly in K, so fourier-coeffs 10^5 took
+# 2.3 s; fourier-coeffs 1024 takes 0.12 s, and eval-float --grid 14 at
+# K = 1024 about 5 s.
+MAX_FOURIER_K = 1024
+# Product truncation m_max: 2^m_max must convert to a float, so 1023 is the
+# largest; fourier-coeffs 1024 --m-max 1023 takes about 0.4 s.
+MAX_M_MAX = 1023
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,14 +77,14 @@ def _float_str(x: float) -> str:
     return format(x, ".17g")
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_int(name: str, default: int | None = None) -> int | None:
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"invalid {name}={raw!r}")
+        raise ValueError(f"invalid {name}={raw!r}") from None
 
 
 def _max_level(args) -> int:
@@ -97,6 +106,20 @@ def _point(args) -> Dyadic:
     return t
 
 
+def _fourier_args(args) -> tuple[int, int]:
+    """(K, m_max) of ``args``: unset ones take spectral's defaults, and values
+    above ``MAX_FOURIER_K`` or ``MAX_M_MAX`` are rejected before any work."""
+    from .spectral import DEFAULT_FOURIER_K, DEFAULT_M_MAX
+
+    k = DEFAULT_FOURIER_K if args.fourier_k is None else args.fourier_k
+    m_max = DEFAULT_M_MAX if args.m_max is None else args.m_max
+    if k > MAX_FOURIER_K:
+        raise ValueError(f"Fourier K (or FABIUS_FOURIER_K) must be at most {MAX_FOURIER_K}")
+    if m_max > MAX_M_MAX:
+        raise ValueError(f"--m-max (or FABIUS_M_MAX) must be at most {MAX_M_MAX}")
+    return k, m_max
+
+
 @contextmanager
 def _no_int_str_limit():
     """Lift CPython's int-to-str digit limit: exact results may exceed it."""
@@ -111,11 +134,18 @@ def _no_int_str_limit():
         sys.set_int_max_str_digits(saved)
 
 
-def _emit(args, mode: str, payload, text_lines) -> None:
+def _emit(args, mode: str, payload, lines) -> None:
+    """Print ``lines``, or under ``--json`` the object around ``payload()``.
+
+    Only the printed form is built: ``payload`` is called, and ``lines``
+    iterated, only in its own mode.
+    """
     if args.json:
-        print(json.dumps({"mode": mode, "payload": payload}))
+        import json
+
+        print(json.dumps({"mode": mode, "payload": payload()}))
     else:
-        for line in text_lines:
+        for line in lines:
             print(line)
 
 
@@ -160,7 +190,7 @@ def _cmd_eval(args) -> int:
     _emit(
         args,
         "exact",
-        {
+        lambda: {
             "t": str(t),
             "value": format_rational(value),
             "level_numerator": str(scaled),
@@ -174,35 +204,47 @@ def _cmd_eval(args) -> int:
 def _cmd_eval_float(args) -> int:
     if args.grid is not None and not 0 <= args.grid <= MAX_GRID_LEVEL:
         raise ValueError(f"grid level must be in 0..{MAX_GRID_LEVEL}")
-    fc = spectral.fourier_coefficients(K=args.fourier_k, m_max=args.m_max)
-    if args.grid is not None:
-        values = level_values(args.grid)
-        lines = ["t,phi_fourier,phi_exact_if_dyadic,abs_err"]
-        rows = []
-        for q in range(-(1 << args.grid), (1 << args.grid) + 1):
-            t = Dyadic(q, args.grid)
-            approx = spectral.phi_fourier(float(t), fc)
-            exact_value = values[abs(q)]
-            err = abs(approx - float(exact_value))
-            rows.append(
-                {
-                    "t": str(t),
-                    "phi_fourier": approx,
-                    "phi_exact": format_rational(exact_value),
-                    "abs_err": err,
-                }
-            )
-            lines.append(
-                f"{_float_str(float(t))},{_float_str(approx)},"
-                f"{format_rational(exact_value)},{_float_str(err)}"
-            )
-        _emit(args, "float", rows, lines)
+    k, m_max = _fourier_args(args)
+    from . import spectral
+
+    fc = spectral.fourier_coefficients(K=k, m_max=m_max)
+    if args.grid is None:
+        if not isfinite(args.t):
+            raise ValueError("eval-float T must be finite")
+        # the synthesis is 2-periodic; phi itself vanishes outside (-1, 1)
+        value = spectral.phi_fourier(args.t, fc) if abs(args.t) < 1 else 0.0
+        _emit(args, "float", lambda: {"t": args.t, "value": value}, [_float_str(value)])
         return 0
-    if not isfinite(args.t):
-        raise ValueError("eval-float T must be finite")
-    # the synthesis is 2-periodic; phi itself vanishes outside (-1, 1)
-    value = spectral.phi_fourier(args.t, fc) if abs(args.t) < 1 else 0.0
-    _emit(args, "float", {"t": args.t, "value": value}, [_float_str(value)])
+    level = args.grid
+    values = level_values(level)
+    # Rows q and -q share one synthesis: (2k+1)*pi*(-t) is exactly
+    # -((2k+1)*pi*t) and cos is even, so both sums are bit-identical, and
+    # q/2^level is the double float(Dyadic(q, level)).
+    synth = [spectral.phi_fourier(q / (1 << level), fc) for q in range(len(values))]
+    exact = [format_rational(v) for v in values]
+    err = [abs(a - float(v)) for a, v in zip(synth, values)]
+    qs = range(-(1 << level), (1 << level) + 1)
+    _emit(
+        args,
+        "float",
+        lambda: [
+            {
+                "t": str(Dyadic(q, level)),
+                "phi_fourier": synth[abs(q)],
+                "phi_exact": exact[abs(q)],
+                "abs_err": err[abs(q)],
+            }
+            for q in qs
+        ],
+        chain(
+            ["t,phi_fourier,phi_exact_if_dyadic,abs_err"],
+            (
+                f"{_float_str(q / (1 << level))},{_float_str(synth[abs(q)])},"
+                f"{exact[abs(q)]},{_float_str(err[abs(q)])}"
+                for q in qs
+            ),
+        ),
+    )
     return 0
 
 
@@ -212,12 +254,16 @@ def _cmd_table(args) -> int:
         raise ValueError(f"table level must be in 0..{max_level}")
     values, d = _level(args.n)
     lines = _table_rows(values, d)
-    payload = {
-        "level": args.n,
-        "denominator": str(d),
-        "rows": [line.split("\t") for line in lines],
-    }
-    _emit(args, "table", payload, lines)
+    _emit(
+        args,
+        "table",
+        lambda: {
+            "level": args.n,
+            "denominator": str(d),
+            "rows": [line.split("\t") for line in lines],
+        },
+        lines,
+    )
     return 0
 
 
@@ -238,8 +284,8 @@ def _cmd_coeffs(args) -> int:
     _emit(
         args,
         "coeffs",
-        {"which": args.which, "values": values},
-        [f"{k}\t{v}" for k, v in enumerate(values)],
+        lambda: {"which": args.which, "values": values},
+        (f"{k}\t{v}" for k, v in enumerate(values)),
     )
     return 0
 
@@ -250,7 +296,7 @@ def _cmd_deriv(args) -> int:
     _emit(
         args,
         "exact",
-        {"order": args.k, "t": str(t), "value": format_rational(value)},
+        lambda: {"order": args.k, "t": str(t), "value": format_rational(value)},
         [format_rational(value)],
     )
     return 0
@@ -262,8 +308,8 @@ def _cmd_taylor(args) -> int:
     _emit(
         args,
         "exact",
-        {"center": str(poly.center), "coeffs": values, "degree": poly.degree},
-        [f"{k}\t{v}" for k, v in enumerate(values)],
+        lambda: {"center": str(poly.center), "coeffs": values, "degree": poly.degree},
+        (f"{k}\t{v}" for k, v in enumerate(values)),
     )
     return 0
 
@@ -272,6 +318,8 @@ def _cmd_approx(args) -> int:
     m = args.m
     if not 0 <= m <= MAX_APPROX_LEVEL:
         raise ValueError(f"approx level must be in 0..{MAX_APPROX_LEVEL}")
+    from .approximants import plateau_numerators
+
     numerators, exp = plateau_numerators(m)
     g = len(numerators) - 1
     # plateau j spans [(2j-1-g)/2^(m+1), (2j+1-g)/2^(m+1)) = [edges[j], edges[j+1]),
@@ -279,32 +327,47 @@ def _cmd_approx(args) -> int:
     edges = [
         "%d/2^%d" % canonical_dyadic(2 * j - 1 - g, m + 1) for j in range(g + 2)
     ]
-    values = []
-    for a in numerators:
-        num, den_exp = canonical_dyadic(a, exp)
-        values.append(f"{num}/{1 << den_exp}" if den_exp else str(num))
-    lines = ["left_edge,right_edge,value"]
-    rows = []
-    for j, value in enumerate(values):
-        rows.append({"left": edges[j], "right": edges[j + 1], "value": value})
-        lines.append(f"{edges[j]},{edges[j + 1]},{value}")
-    _emit(args, "approx", {"level": m, "plateaus": rows}, lines)
+
+    def plateaus():
+        for j, a in enumerate(numerators):
+            num, den_exp = canonical_dyadic(a, exp)
+            yield edges[j], edges[j + 1], f"{num}/{1 << den_exp}" if den_exp else str(num)
+
+    _emit(
+        args,
+        "approx",
+        lambda: {
+            "level": m,
+            "plateaus": [
+                {"left": left, "right": right, "value": value}
+                for left, right, value in plateaus()
+            ],
+        },
+        chain(["left_edge,right_edge,value"], map(",".join, plateaus())),
+    )
     return 0
 
 
 def _cmd_fourier_coeffs(args) -> int:
-    fc = spectral.fourier_coefficients(K=args.fourier_k, m_max=args.m_max)
+    k, m_max = _fourier_args(args)
+    from .spectral import fourier_coefficients
+
+    fc = fourier_coefficients(K=k, m_max=m_max)
     _emit(
         args,
         "fourier",
-        {"K": fc.K, "m_max": args.m_max, "a": list(fc.a)},
-        [f"{k}\t{_float_str(ak)}" for k, ak in enumerate(fc.a)],
+        lambda: {"K": fc.K, "m_max": m_max, "a": list(fc.a)},
+        (f"{k}\t{_float_str(ak)}" for k, ak in enumerate(fc.a)),
     )
     return 0
 
 
 def _cmd_mc(args) -> int:
-    est = stochastic.mc_phi(args.x, args.samples, args.depth, args.seed)
+    import json
+
+    from .stochastic import mc_phi
+
+    est = mc_phi(args.x, args.samples, args.depth, args.seed)
     payload = {
         "x": est.x,
         "estimate": est.estimate,
@@ -312,7 +375,7 @@ def _cmd_mc(args) -> int:
         "bias_bound": est.bias_bound,
         "seed": est.seed,
     }
-    _emit(args, "mc", payload, [json.dumps(payload)])
+    _emit(args, "mc", lambda: payload, [json.dumps(payload)])
     return 0
 
 
@@ -321,17 +384,21 @@ def _cmd_selftest(args) -> int:
 
     if args.json:
         results = run_all(emit=lambda line: None)
-        payload = [
-            {
-                "index": r.index,
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "elapsed_s": r.elapsed,
-            }
-            for r in results
-        ]
-        print(json.dumps({"mode": "selftest", "payload": payload}))
+        _emit(
+            args,
+            "selftest",
+            lambda: [
+                {
+                    "index": r.index,
+                    "name": r.name,
+                    "passed": r.passed,
+                    "detail": r.detail,
+                    "elapsed_s": r.elapsed,
+                }
+                for r in results
+            ],
+            [],
+        )
     else:
         results = run_all()
     return 0 if all(r.passed for r in results) else INTEGRITY_ERROR
@@ -343,8 +410,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table_max_default = _env_int("FABIUS_TABLE_MAX", 12)
-    m_max_default = _env_int("FABIUS_M_MAX", spectral.DEFAULT_M_MAX)
-    fourier_k_default = _env_int("FABIUS_FOURIER_K", spectral.DEFAULT_FOURIER_K)
+    # parsed here so that a bad value fails every command; None (unset) is
+    # resolved to spectral's default by the commands that synthesize
+    m_max_default = _env_int("FABIUS_M_MAX")
+    fourier_k_default = _env_int("FABIUS_FOURIER_K")
 
     p = sub.add_parser("eval", help="exact phi(q/2^n)")
     p.add_argument("q", type=int)
@@ -406,15 +475,13 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    try:
-        # parsing above keeps the limit; only computed results may be long
+        # parsing keeps the limit; only computed results may be long
+        args = build_parser().parse_args(argv)
         with _no_int_str_limit():
             return args.func(args)
-    except ValueError as exc:
+    except SystemExit as exc:  # argparse has printed its message
+        return exc.code
+    except ValueError as exc:  # also a bad FABIUS_* value
         print(f"fabius: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ArithmeticError as exc:

@@ -18,10 +18,10 @@ Each sequence is one extend-only store shared by all callers.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import NamedTuple
 
 __all__ = [
     "TableIntegrityError",
@@ -129,8 +129,7 @@ def phi_near_one_from_series(m: int) -> Fraction:
     return cm / (2 * factorial(2 * m) * (1 << (m * (2 * m + 1))))
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(NamedTuple):
     """Immutable snapshot of all coefficient sequences up to a given length.
 
     ``moments[n]`` is int_0^1 t^n phi(t) dt and ``phi_near_one[n]`` is

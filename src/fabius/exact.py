@@ -30,10 +30,10 @@ translates have disjoint open supports: phi^(k)(t) = 2^C(k+1,2) theta(2^k t + 2^
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from typing import NamedTuple
 
 from .coefficients import series_coefficients
 from .core import Dyadic, thue_morse_sign
@@ -203,8 +203,7 @@ def phi_derivative(k: int, t: Dyadic | int | Fraction) -> Fraction:
     return (1 << (k * (k + 1) // 2)) * value
 
 
-@dataclass(frozen=True)
-class TaylorPolynomial:
+class TaylorPolynomial(NamedTuple):
     """Exact Taylor coefficients of phi at a dyadic center.
 
     ``coeffs[k]`` is phi^(k)(center)/k!.  At center q/2^n with q odd and

@@ -8,9 +8,9 @@ pinned here, not configurable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from . import approximants, coefficients, exact, spectral, stochastic
 from .core import Dyadic, thue_morse_sign
@@ -40,8 +40,7 @@ MC_SAMPLES = 10 ** 6
 MC_DEPTH = 40
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     index: int
     name: str
     passed: bool

@@ -18,8 +18,8 @@ as a verification and plotting surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coefficients import series_coefficients
 from .core import Dyadic, val2
@@ -112,8 +112,7 @@ def transform_value(x: float, m_max: int = DEFAULT_M_MAX, terms: int = 24) -> fl
     return transform_product(x, m_max)
 
 
-@dataclass(frozen=True)
-class FourierCoefficients:
+class FourierCoefficients(NamedTuple):
     """Snapshot of the cosine-synthesis coefficients a[k] ~ hat((2k+1)/2).
 
     Signs follow the Thue-Morse sequence for every coefficient above 1e-10

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["BLOCK_SIZE", "McEstimate", "mc_phi"]
 
@@ -67,8 +67,7 @@ _SCALAR_SHIFT = 11
 MAX_SAMPLES = 10**8
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """Result of one Monte Carlo run.
 
     estimate is the hit fraction in [0, 1], stderr the binomial normal

@@ -3,16 +3,18 @@
 import json
 import random
 import sys
+from argparse import Namespace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from fabius.approximants import step_function
-from fabius.cli import main
+from fabius.cli import _emit, main
 from fabius.coefficients import phi_near_one
 from fabius.core import Dyadic, format_rational, parse_rational
 from fabius.exact import phi_derivative, phi_exact
+from fabius.spectral import DEFAULT_M_MAX, fourier_coefficients, phi_fourier
 
 GOLDEN = Path(__file__).parent / "data" / "table_n5_golden.txt"
 
@@ -231,7 +233,7 @@ class TestIntStrLimit:
 class TestInputCaps:
     @pytest.mark.parametrize("m", ["17", "-1"])
     def test_approx_level(self, capsys, monkeypatch, m):
-        forbid(monkeypatch, "fabius.cli.plateau_numerators")
+        forbid(monkeypatch, "fabius.approximants.plateau_numerators")
         code, out, err = run_cli(capsys, "approx", m)
         assert code == 1
         assert out == ""
@@ -346,6 +348,126 @@ class TestFourierAndFloat:
             t, approx, exact, err = line.split(",")
             assert abs(float(approx) - float(Fraction(exact))) == float(err)
             assert float(err) <= 1e-10
+
+    @pytest.mark.parametrize("level", range(9))
+    def test_grid_matches_per_row_synthesis(self, capsys, level):
+        # the command synthesizes once per |q|; the oracle once per row
+        fc = fourier_coefficients()
+        expected = []
+        for q in range(-(1 << level), (1 << level) + 1):
+            t = Dyadic(q, level)
+            approx = phi_fourier(float(t), fc)
+            exact = phi_exact(t)
+            expected.append((t, approx, exact, abs(approx - float(exact))))
+        _, out, _ = run_cli(capsys, "eval-float", "--grid", str(level))
+        assert out.splitlines()[1:] == [
+            f"{float(t):.17g},{approx:.17g},{format_rational(exact)},{err:.17g}"
+            for t, approx, exact, err in expected
+        ]
+        _, out, _ = run_cli(capsys, "--json", "eval-float", "--grid", str(level))
+        assert json.loads(out)["payload"] == [
+            {
+                "t": str(t),
+                "phi_fourier": approx,
+                "phi_exact": format_rational(exact),
+                "abs_err": err,
+            }
+            for t, approx, exact, err in expected
+        ]
+
+
+M_MAX_CAP = "--m-max (or FABIUS_M_MAX) must be at most 1023"
+K_CAP = "Fourier K (or FABIUS_FOURIER_K) must be at most 1024"
+
+
+class TestFourierInput:
+    def _forbid_work(self, monkeypatch):
+        forbid(
+            monkeypatch,
+            "fabius.spectral.fourier_coefficients",
+            "fabius.cli.level_values",
+            "fabius.cli.phi_exact",
+        )
+
+    @pytest.mark.parametrize("name", ["FABIUS_M_MAX", "FABIUS_FOURIER_K", "FABIUS_TABLE_MAX"])
+    def test_bad_env_value_is_a_usage_error(self, capsys, monkeypatch, name):
+        # every command parses the environment, also those that ignore it
+        monkeypatch.setenv(name, "abc")
+        self._forbid_work(monkeypatch)
+        code, out, err = run_cli(capsys, "eval", "1", "3")
+        assert code == 1
+        assert out == ""
+        assert err == f"fabius: error: invalid {name}='abc'\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("fourier-coeffs", "4", "--m-max", "1024"), M_MAX_CAP),
+            (("eval-float", "0.3", "--m-max", "1024"), M_MAX_CAP),
+            (("eval-float", "--grid", "2", "--m-max", "1024"), M_MAX_CAP),
+            (("fourier-coeffs", "1025"), K_CAP),
+            (("fourier-coeffs", "100000"), K_CAP),
+            (("eval-float", "0.3", "--fourier-k", "1025"), K_CAP),
+        ],
+    )
+    def test_caps_rejected_before_any_work(self, capsys, monkeypatch, argv, message):
+        self._forbid_work(monkeypatch)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"fabius: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("FABIUS_M_MAX", "1024", M_MAX_CAP),
+            ("FABIUS_FOURIER_K", "1025", K_CAP),
+        ],
+    )
+    @pytest.mark.parametrize("argv", [("fourier-coeffs",), ("eval-float", "0.3")])
+    def test_env_caps_rejected_before_any_work(
+        self, capsys, monkeypatch, name, value, message, argv
+    ):
+        monkeypatch.setenv(name, value)
+        self._forbid_work(monkeypatch)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"fabius: error: {message}\n"
+
+    def test_largest_accepted_values(self, capsys):
+        code, out, _ = run_cli(capsys, "--json", "fourier-coeffs", "1024", "--m-max", "1023")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert (payload["K"], payload["m_max"], len(payload["a"])) == (1024, 1023, 1024)
+
+    @pytest.mark.parametrize("env,m_max", [(None, DEFAULT_M_MAX), ("20", 20)])
+    def test_json_reports_resolved_m_max(self, capsys, monkeypatch, env, m_max):
+        monkeypatch.delenv("FABIUS_M_MAX", raising=False)
+        if env is not None:
+            monkeypatch.setenv("FABIUS_M_MAX", env)
+        code, out, _ = run_cli(capsys, "--json", "fourier-coeffs", "4")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["m_max"] == m_max
+        assert payload["a"] == list(fourier_coefficients(K=4, m_max=m_max).a)
+
+
+class TestEmit:
+    def test_plain_mode_never_builds_the_payload(self, capsys):
+        def payload():
+            raise AssertionError("payload built in plain mode")
+
+        _emit(Namespace(json=False), "m", payload, iter(["a", "b"]))
+        assert capsys.readouterr().out == "a\nb\n"
+
+    def test_json_mode_never_reads_the_lines(self, capsys):
+        def lines():
+            raise AssertionError("lines read in JSON mode")
+            yield
+
+        _emit(Namespace(json=True), "m", lambda: [1, "x"], lines())
+        assert json.loads(capsys.readouterr().out) == {"mode": "m", "payload": [1, "x"]}
 
 
 class TestConsoleScript:

@@ -1,17 +1,35 @@
-"""numpy loads only when a Monte Carlo block is drawn.
+"""Each command loads only the layers it runs.
 
-Each check runs in a fresh interpreter, because this test process may
-already have imported numpy.  The child imports the same checkout as this
+numpy loads only when a Monte Carlo block is drawn; the exact commands
+leave ``spectral``, ``stochastic``, ``approximants`` and ``json`` unloaded;
+no command but ``selftest`` loads ``dataclasses``; and ``import fabius``
+resolves its public names on first use.
+
+Each check runs in a fresh interpreter, because this test process has
+already imported everything.  The child imports the same checkout as this
 process, installed or not.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 import textwrap
 
+import pytest
+
 import fabius
+from fabius.approximants import step_function
+from fabius.coefficients import CoefficientTable
+from fabius.core import Dyadic
+from fabius.exact import taylor_at
+from fabius.selftest import CriterionResult
+from fabius.spectral import fourier_coefficients
+from fabius.stochastic import McEstimate
+
+LAYERS = ["fabius.spectral", "fabius.stochastic", "fabius.approximants"]
+WATCHED = ["numpy", "json", "dataclasses", *LAYERS]
 
 # (argv, exit code); the mc depths and sample count are rejected before any
 # block is drawn
@@ -30,19 +48,27 @@ EXACT_COMMANDS = [
     (["mc", "-0.5", "--samples", "100000001"], 1),
 ]
 
-# Runs each argv of the JSON list in argv[1] through main() and prints one
-# JSON record per step: [label, exit code, numpy loaded].
+# the commands that run on the exact core alone
+CORE_COMMANDS = EXACT_COMMANDS[:5]
+
+# Runs each argv of the list literal in argv[2] through main() and prints one
+# record per step: [label, exit code, the modules of the list literal in
+# argv[1] that are loaded].  It reads and writes Python literals, not JSON,
+# so that json is loaded only if fabius loads it.
 CHILD = textwrap.dedent(
     """
-    import contextlib, io, json, sys
+    import contextlib, io, sys
+
+    watched = eval(sys.argv[1])
 
     def report(label, code):
-        print(json.dumps([label, code, "numpy" in sys.modules]), flush=True)
+        loaded = [name for name in watched if name in sys.modules]
+        print(repr([label, code, loaded]), flush=True)
 
     import fabius
     import fabius.cli
     report("import", 0)
-    for argv in json.loads(sys.argv[1]):
+    for argv in eval(sys.argv[2]):
         with contextlib.redirect_stdout(io.StringIO()), \\
                 contextlib.redirect_stderr(io.StringIO()):
             code = fabius.cli.main(argv)
@@ -51,23 +77,31 @@ CHILD = textwrap.dedent(
 )
 
 
-def _run(commands):
+def _child_env():
     src = os.path.dirname(os.path.dirname(fabius.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _run(commands):
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(commands)],
+        [sys.executable, "-c", CHILD, repr(WATCHED), repr(commands)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
+    return [tuple(ast.literal_eval(line)) for line in proc.stdout.splitlines()]
+
+
+def _loaded(records, name):
+    return [(label, code, name in loaded) for label, code, loaded in records]
 
 
 def test_exact_commands_never_load_numpy():
     records = _run([argv for argv, _ in EXACT_COMMANDS])
-    assert records == [("import", 0, False)] + [
+    assert _loaded(records, "numpy") == [("import", 0, False)] + [
         (" ".join(argv), code, False) for argv, code in EXACT_COMMANDS
     ]
 
@@ -75,4 +109,109 @@ def test_exact_commands_never_load_numpy():
 def test_monte_carlo_draw_loads_numpy():
     # control: the check above would pass vacuously if numpy never loaded
     records = _run([["mc", "-0.5", "--samples", "1000"]])
-    assert records == [("import", 0, False), ("mc -0.5 --samples 1000", 0, True)]
+    assert _loaded(records, "numpy") == [
+        ("import", 0, False),
+        ("mc -0.5 --samples 1000", 0, True),
+    ]
+
+
+def test_core_commands_load_only_the_exact_core():
+    records = _run([argv for argv, _ in CORE_COMMANDS])
+    assert records == [("import", 0, [])] + [
+        (" ".join(argv), code, []) for argv, code in CORE_COMMANDS
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv,loads",
+    [
+        (["approx", "4"], ["fabius.approximants"]),
+        (["eval-float", "0.3"], ["fabius.spectral"]),
+        (["fourier-coeffs", "4"], ["fabius.spectral"]),
+        (["mc", "-0.5", "--samples", "1000"], ["numpy", "json", "fabius.stochastic"]),
+        (["--json", "eval", "1", "3"], ["json"]),
+    ],
+)
+def test_each_layer_loads_with_its_command(argv, loads):
+    # control: the check above would pass vacuously if no layer ever loaded
+    assert _run([argv]) == [("import", 0, []), (" ".join(argv), 0, loads)]
+
+
+def test_no_command_but_selftest_loads_dataclasses():
+    commands = [argv for argv, _ in EXACT_COMMANDS] + [
+        ["mc", "-0.5", "--samples", "70000", "--depth", "53"],
+        *(["--json", *argv] for argv, _ in EXACT_COMMANDS),
+    ]
+    records = _run(commands)
+    assert len(records) == 1 + len(commands)
+    assert not any(loaded for _, _, loaded in _loaded(records, "dataclasses"))
+
+
+# Resolves every public name of a freshly imported package and prints
+# [layers loaded by the import, {name: [layers whose __all__ lists it and
+# whose object the package hands out]}].
+RESOLVE = textwrap.dedent(
+    """
+    import importlib, json, sys
+
+    import fabius
+    loaded = [m for m in sys.modules if m.startswith("fabius.")]
+    homes = {}
+    for name in fabius.__all__:
+        value = getattr(fabius, name)
+        for layer in ("core", "coefficients", "exact", "approximants",
+                      "spectral", "stochastic"):
+            module = importlib.import_module("fabius." + layer)
+            if name in module.__all__ and getattr(module, name) is value:
+                homes.setdefault(name, []).append(layer)
+    print(json.dumps([loaded, homes]))
+    """
+)
+
+
+def test_package_resolves_names_on_first_use():
+    proc = subprocess.run(
+        [sys.executable, "-c", RESOLVE],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, homes = json.loads(proc.stdout)
+    assert loaded == []
+    # exactly one layer lists each name, and the package hands out its object
+    assert sorted(homes) == sorted(fabius.__all__)
+    assert all(len(layers) == 1 for layers in homes.values())
+
+
+def test_star_import_and_unknown_names():
+    namespace = {}
+    exec("from fabius import *", namespace)
+    assert set(fabius.__all__) <= set(namespace)
+    assert namespace["phi_exact"] is fabius.exact.phi_exact
+    assert set(fabius.__all__) <= set(dir(fabius))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        fabius.no_such_name
+    with pytest.raises(ImportError):
+        exec("from fabius import no_such_name", {})
+
+
+@pytest.mark.parametrize(
+    "record,field",
+    [
+        (taylor_at(Dyadic(1, 2), 2), "coeffs"),
+        (CoefficientTable.build(2), "c"),
+        (fourier_coefficients(K=2), "a"),
+        (McEstimate(x=-0.5, samples=1, depth=8, estimate=1.0, stderr=0.0, seed=0), "x"),
+        (step_function(2), "values"),
+        (CriterionResult(1, "name", True, "detail", 0.0), "passed"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else type(value).__name__,
+)
+def test_records_reject_field_assignment(record, field):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field) is before
+    assert repr(record).startswith(f"{type(record).__name__}({record._fields[0]}=")
