@@ -10,47 +10,42 @@ Exact paths work in integers, ``fractions.Fraction`` and the canonical
 :class:`fabius.core.Dyadic`; floating point appears only in the spectral
 synthesis and the Monte Carlo oracle.
 
-Every public name is importable from the package, but a layer module loads
-only when one of its names is first looked up, so ``import fabius`` alone
-loads none of them.
+Every public name is importable from the package.  The exact core
+(``core``, ``coefficients``, ``exact``) loads with it; ``approximants``,
+``spectral`` and ``stochastic`` load only when one of their names is first
+looked up, so the exact commands never load them.
 """
 
 import importlib
 
+from .coefficients import (
+    CoefficientTable,
+    TableIntegrityError,
+    exp_moment_coefficients,
+    exp_moment_integer_numerators,
+    moment,
+    phi_near_one,
+    phi_near_one_from_series,
+    series_coefficients,
+    series_integer_numerators,
+)
+from .core import Dyadic, digit_sum, format_rational, parse_rational, thue_morse_sign, val2
+from .exact import (
+    TaylorPolynomial,
+    as_dyadic,
+    level_denominator_bound,
+    level_values,
+    phi_derivative,
+    phi_exact,
+    phi_exact_raw,
+    taylor_at,
+    theta_exact,
+)
+
 __version__ = "0.1.0"
 
-# each layer module and the public names it defines, in ``__all__`` order
+# each lazily loaded layer and the public names it defines, in ``__all__`` order
 _LAYERS = {
-    "core": (
-        "Dyadic",
-        "digit_sum",
-        "val2",
-        "thue_morse_sign",
-        "format_rational",
-        "parse_rational",
-    ),
-    "coefficients": (
-        "CoefficientTable",
-        "TableIntegrityError",
-        "series_coefficients",
-        "series_integer_numerators",
-        "exp_moment_coefficients",
-        "exp_moment_integer_numerators",
-        "moment",
-        "phi_near_one",
-        "phi_near_one_from_series",
-    ),
-    "exact": (
-        "as_dyadic",
-        "phi_exact",
-        "phi_exact_raw",
-        "level_values",
-        "theta_exact",
-        "phi_derivative",
-        "taylor_at",
-        "TaylorPolynomial",
-        "level_denominator_bound",
-    ),
     "approximants": (
         "IntPolynomial",
         "partition_polynomial",
@@ -79,7 +74,33 @@ _LAYERS = {
 }
 _HOMES = {name: module for module, names in _LAYERS.items() for name in names}
 
-__all__ = list(_HOMES)
+__all__ = [
+    "Dyadic",
+    "digit_sum",
+    "val2",
+    "thue_morse_sign",
+    "format_rational",
+    "parse_rational",
+    "CoefficientTable",
+    "TableIntegrityError",
+    "series_coefficients",
+    "series_integer_numerators",
+    "exp_moment_coefficients",
+    "exp_moment_integer_numerators",
+    "moment",
+    "phi_near_one",
+    "phi_near_one_from_series",
+    "as_dyadic",
+    "phi_exact",
+    "phi_exact_raw",
+    "level_values",
+    "theta_exact",
+    "phi_derivative",
+    "taylor_at",
+    "TaylorPolynomial",
+    "level_denominator_bound",
+    *_HOMES,
+]
 
 
 def __getattr__(name):

@@ -3,7 +3,7 @@
 numpy loads only when a Monte Carlo block is drawn; the exact commands
 leave ``spectral``, ``stochastic``, ``approximants`` and ``json`` unloaded;
 no command but ``selftest`` loads ``dataclasses``; and ``import fabius``
-resolves its public names on first use.
+loads the exact core and resolves the other layers' names on first use.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported everything.  The child imports the same checkout as this
@@ -20,7 +20,7 @@ import textwrap
 import pytest
 
 import fabius
-from fabius.approximants import step_function
+from fabius.approximants import StepFunction, step_function
 from fabius.coefficients import CoefficientTable
 from fabius.core import Dyadic
 from fabius.exact import taylor_at
@@ -169,7 +169,7 @@ RESOLVE = textwrap.dedent(
 )
 
 
-def test_package_resolves_names_on_first_use():
+def test_package_loads_the_exact_core_and_resolves_the_rest_on_first_use():
     proc = subprocess.run(
         [sys.executable, "-c", RESOLVE],
         capture_output=True,
@@ -179,7 +179,7 @@ def test_package_resolves_names_on_first_use():
     )
     assert proc.returncode == 0, proc.stderr
     loaded, homes = json.loads(proc.stdout)
-    assert loaded == []
+    assert sorted(loaded) == ["fabius.coefficients", "fabius.core", "fabius.exact"]
     # exactly one layer lists each name, and the package hands out its object
     assert sorted(homes) == sorted(fabius.__all__)
     assert all(len(layers) == 1 for layers in homes.values())
@@ -197,21 +197,41 @@ def test_star_import_and_unknown_names():
         exec("from fabius import no_such_name", {})
 
 
-@pytest.mark.parametrize(
-    "record,field",
-    [
-        (taylor_at(Dyadic(1, 2), 2), "coeffs"),
-        (CoefficientTable.build(2), "c"),
-        (fourier_coefficients(K=2), "a"),
-        (McEstimate(x=-0.5, samples=1, depth=8, estimate=1.0, stderr=0.0, seed=0), "x"),
-        (step_function(2), "values"),
-        (CriterionResult(1, "name", True, "detail", 0.0), "passed"),
-    ],
-    ids=lambda value: value if isinstance(value, str) else type(value).__name__,
-)
+# one instance of each result record and one of its fields
+RECORDS = [
+    (taylor_at(Dyadic(1, 2), 2), "coeffs"),
+    (CoefficientTable.build(2), "c"),
+    (fourier_coefficients(K=2), "a"),
+    (McEstimate(x=-0.5, samples=1, depth=8, estimate=1.0, stderr=0.0, seed=0), "x"),
+    (step_function(2), "values"),
+    (CriterionResult(1, "name", True, "detail", 0.0), "passed"),
+]
+
+
+def _record_id(value):
+    return value if isinstance(value, str) else type(value).__name__
+
+
+@pytest.mark.parametrize("record,field", RECORDS, ids=_record_id)
 def test_records_reject_field_assignment(record, field):
     before = getattr(record, field)
     with pytest.raises(AttributeError):
         setattr(record, field, None)
     assert getattr(record, field) is before
     assert repr(record).startswith(f"{type(record).__name__}({record._fields[0]}=")
+
+
+@pytest.mark.parametrize("record,field", RECORDS, ids=_record_id)
+def test_records_are_tuples_of_their_fields(record, field):
+    # intended: a record unpacks, indexes and compares as the plain tuple of
+    # its field values in order
+    values = tuple(getattr(record, name) for name in record._fields)
+    assert tuple(record) == values and record == values
+    assert record[record._fields.index(field)] is getattr(record, field)
+    assert len(record) == len(record._fields)
+    assert record != values + (None,)
+
+
+def test_records_of_different_types_with_equal_fields_are_equal():
+    taylor = taylor_at(Dyadic(1, 2), 2)
+    assert StepFunction(*taylor) == taylor
