@@ -10,46 +10,30 @@ Exact paths work in integers, ``fractions.Fraction`` and the canonical
 :class:`fabius.core.Dyadic`; floating point appears only in the spectral
 synthesis and the Monte Carlo oracle.
 
-Every public name is importable from the package.  The exact core
-(``core``, ``coefficients``, ``exact``) loads with it; ``approximants``,
-``spectral`` and ``stochastic`` load only when one of their names is first
-looked up, so the exact commands never load them.
+Every public name is importable from the package: the names in the
+``__all__`` of each layer.  The exact core (``core``, ``coefficients``,
+``exact``) loads with it; ``approximants``, ``spectral`` and ``stochastic``
+load only when one of their names is first looked up, so the exact commands
+never load them.
 """
 
 import importlib
 
-from .coefficients import (
-    CoefficientTable,
-    TableIntegrityError,
-    exp_moment_coefficients,
-    exp_moment_integer_numerators,
-    moment,
-    phi_near_one,
-    phi_near_one_from_series,
-    series_coefficients,
-    series_integer_numerators,
-)
-from .core import Dyadic, digit_sum, format_rational, parse_rational, thue_morse_sign, val2
-from .exact import (
-    TaylorPolynomial,
-    as_dyadic,
-    level_denominator_bound,
-    level_values,
-    phi_derivative,
-    phi_exact,
-    phi_exact_raw,
-    taylor_at,
-    theta_exact,
-)
+from . import coefficients, core, exact
+from .coefficients import *
+from .core import *
+from .exact import *
 
 __version__ = "0.1.0"
 
-# each lazily loaded layer and the public names it defines, in ``__all__`` order
+# each lazily loaded layer's ``__all__``, which cannot be read without
+# importing the layer
 _LAYERS = {
     "approximants": (
         "IntPolynomial",
         "partition_polynomial",
         "partition_polynomial_degree",
+        "plateau_numerators",
         "restricted_partitions",
         "StepFunction",
         "step_function",
@@ -57,6 +41,11 @@ _LAYERS = {
     "spectral": (
         "DEFAULT_M_MAX",
         "DEFAULT_FOURIER_K",
+        "transform_product",
+        "transform_product_tail_bound",
+        "transform_series",
+        "transform_pole_product",
+        "transform_value",
         "FourierCoefficients",
         "fourier_coefficients",
         "phi_fourier",
@@ -64,43 +53,12 @@ _LAYERS = {
         "translate_sum",
         "translate_sum_synthesis",
         "poisson_check",
-        "transform_product",
-        "transform_product_tail_bound",
-        "transform_series",
-        "transform_pole_product",
-        "transform_value",
     ),
-    "stochastic": ("McEstimate", "mc_phi"),
+    "stochastic": ("BLOCK_SIZE", "McEstimate", "mc_phi"),
 }
 _HOMES = {name: module for module, names in _LAYERS.items() for name in names}
 
-__all__ = [
-    "Dyadic",
-    "digit_sum",
-    "val2",
-    "thue_morse_sign",
-    "format_rational",
-    "parse_rational",
-    "CoefficientTable",
-    "TableIntegrityError",
-    "series_coefficients",
-    "series_integer_numerators",
-    "exp_moment_coefficients",
-    "exp_moment_integer_numerators",
-    "moment",
-    "phi_near_one",
-    "phi_near_one_from_series",
-    "as_dyadic",
-    "phi_exact",
-    "phi_exact_raw",
-    "level_values",
-    "theta_exact",
-    "phi_derivative",
-    "taylor_at",
-    "TaylorPolynomial",
-    "level_denominator_bound",
-    *_HOMES,
-]
+__all__ = [*core.__all__, *coefficients.__all__, *exact.__all__, *_HOMES]
 
 
 def __getattr__(name):

@@ -10,8 +10,9 @@ Environment defaults (flags win): FABIUS_M_MAX for the product truncation,
 FABIUS_FOURIER_K for the synthesis length, FABIUS_TABLE_MAX for the largest
 level ``table`` accepts and the largest level ``eval`` will scan to find the
 minimal common denominator.  ``eval``, ``deriv`` and ``taylor`` accept
-levels up to the fixed ``MAX_LEVEL``, ``approx`` up to ``MAX_APPROX_LEVEL``,
-``coeffs`` counts up to ``MAX_COEFFS``, and ``eval-float --grid`` as well
+levels up to the fixed ``MAX_LEVEL``, ``taylor`` orders up to
+``MAX_TAYLOR_ORDER``, ``approx`` up to ``MAX_APPROX_LEVEL``, ``coeffs``
+counts up to ``MAX_COEFFS``, and ``eval-float --grid`` as well
 as the ``--max-level`` of ``eval`` and ``table`` (and so
 FABIUS_TABLE_MAX) up to ``MAX_GRID_LEVEL``.  The synthesis length is capped
 at ``MAX_FOURIER_K`` and the product truncation at ``MAX_M_MAX``.
@@ -58,6 +59,9 @@ MAX_APPROX_LEVEL = 16
 MAX_GRID_LEVEL = 14
 # coeffs G 300 takes about 6 s and coeffs c 300 about 50 s.
 MAX_COEFFS = 300
+# taylor pads zeros above the degree, so time and memory grow linearly in
+# ORDER: taylor 1 3 1000000 takes about 2 s and 92 MB.
+MAX_TAYLOR_ORDER = 10**6
 # Synthesis length K: time grows linearly in K, so fourier-coeffs 10^5 took
 # 2.3 s; fourier-coeffs 1024 takes 0.12 s, and eval-float --grid 14 at
 # K = 1024 about 5 s.
@@ -303,7 +307,10 @@ def _cmd_deriv(args) -> int:
 
 
 def _cmd_taylor(args) -> int:
-    poly = taylor_at(_point(args), args.order)
+    t = _point(args)
+    if args.order > MAX_TAYLOR_ORDER:
+        raise ValueError(f"taylor order must be at most {MAX_TAYLOR_ORDER}")
+    poly = taylor_at(t, args.order)
     values = [format_rational(c) for c in poly.coeffs]
     _emit(
         args,

@@ -8,8 +8,9 @@ Two recurrences drive everything:
 * the exponential-moment coefficients d_n of f(x) = 1 + x * int_0^1 e^(xt) phi(t) dt,
   with (n+1)(2^n - 1) d_n = sum_{k<n} C(n+1, k) d_k.
 
-Both sequences admit integer normalizations (F_k and G_n below); a non-integer
-result there can only mean a corrupted table and is treated as a hard failure.
+Both sequences admit integer normalizations: F_k and G_n scale c_k and d_n by
+the product of their divisors up to index k or n.  A non-integer result there
+can only mean a corrupted table and is treated as a hard failure.
 The ordinary moments int_0^1 t^n phi(t) dt and the values phi(1 - 2^-n) follow
 exactly from d and c, by two independent routes that the test suite compares.
 Each sequence is one extend-only store shared by all callers.
@@ -46,64 +47,68 @@ _D: list[Fraction] = [Fraction(1)]
 _STORE_LOCK = threading.Lock()
 
 
-@lru_cache(maxsize=1)  # spectral asks for the same prefix on every synthesis
-def series_coefficients(n_max: int) -> tuple[Fraction, ...]:
-    """The rationals c_0..c_n_max; c_0 = 1, all strictly positive."""
+# the divisors of c_k and d_n in the recurrences above
+def _c_divisor(k: int) -> int:
+    return (2 * k + 1) * ((1 << (2 * k)) - 1)
+
+
+def _d_divisor(n: int) -> int:
+    return (n + 1) * ((1 << n) - 1)
+
+
+def _solve(store: list[Fraction], n_max: int, rhs, divisor) -> tuple[Fraction, ...]:
+    # store[0..n_max], extending store[k] = rhs(store, k) / divisor(k) as needed
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     with _STORE_LOCK:
-        for k in range(len(_C), n_max + 1):
-            rhs = sum(comb(2 * k + 1, 2 * h) * _C[h] for h in range(k))
-            _C.append(rhs / ((2 * k + 1) * ((1 << (2 * k)) - 1)))
-        return tuple(_C[: n_max + 1])
+        for k in range(len(store), n_max + 1):
+            store.append(rhs(store, k) / divisor(k))
+        return tuple(store[: n_max + 1])
 
 
-def _double_factorial_odd(k: int) -> int:
-    # (2k+1)!! = (2k+1)(2k-1)...1
-    out = 1
-    for j in range(3, 2 * k + 2, 2):
-        out *= j
-    return out
+def _integer_numerators(values, divisor, name: str) -> tuple[int, ...]:
+    # x_k * divisor(1) * ... * divisor(k), a positive integer unless x is corrupt
+    out = []
+    scale = 1
+    for k, x in enumerate(values):
+        if k > 0:
+            scale *= divisor(k)
+        value = x * scale
+        if value.denominator != 1 or value <= 0:
+            raise TableIntegrityError(f"{name}[{k}] is not a positive integer: {value}")
+        out.append(value.numerator)
+    return tuple(out)
+
+
+# Only spectral.transform_series asks for a prefix again; the cache stays
+# because perfbench's tracer reads cache_info().
+@lru_cache(maxsize=1)
+def series_coefficients(n_max: int) -> tuple[Fraction, ...]:
+    """The rationals c_0..c_n_max; c_0 = 1, all strictly positive."""
+    return _solve(
+        _C,
+        n_max,
+        lambda c, k: sum(comb(2 * k + 1, 2 * h) * c[h] for h in range(k)),
+        _c_divisor,
+    )
 
 
 def series_integer_numerators(c: tuple[Fraction, ...]) -> tuple[int, ...]:
     """F_k = c_k * (2k+1)!! * prod_{j<=k} (2^(2j) - 1); always a positive integer."""
-    out = []
-    prod = 1
-    for k, ck in enumerate(c):
-        if k > 0:
-            prod *= (1 << (2 * k)) - 1
-        value = ck * _double_factorial_odd(k) * prod
-        if value.denominator != 1 or value <= 0:
-            raise TableIntegrityError(f"F[{k}] is not a positive integer: {value}")
-        out.append(value.numerator)
-    return tuple(out)
+    return _integer_numerators(c, _c_divisor, "F")
 
 
 @lru_cache(maxsize=1)
 def exp_moment_coefficients(n_max: int) -> tuple[Fraction, ...]:
     """The rationals d_0..d_n_max; d_0 = 1."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    with _STORE_LOCK:
-        for n in range(len(_D), n_max + 1):
-            rhs = sum(comb(n + 1, k) * _D[k] for k in range(n))
-            _D.append(rhs / ((n + 1) * ((1 << n) - 1)))
-        return tuple(_D[: n_max + 1])
+    return _solve(
+        _D, n_max, lambda d, n: sum(comb(n + 1, k) * d[k] for k in range(n)), _d_divisor
+    )
 
 
 def exp_moment_integer_numerators(d: tuple[Fraction, ...]) -> tuple[int, ...]:
     """G_n = d_n * (n+1)! * prod_{k<=n} (2^k - 1); always a positive integer."""
-    out = []
-    prod = 1
-    for n, dn in enumerate(d):
-        if n > 0:
-            prod *= (1 << n) - 1
-        value = dn * factorial(n + 1) * prod
-        if value.denominator != 1 or value <= 0:
-            raise TableIntegrityError(f"G[{n}] is not a positive integer: {value}")
-        out.append(value.numerator)
-    return tuple(out)
+    return _integer_numerators(d, _d_divisor, "G")
 
 
 def moment(n: int) -> Fraction:

@@ -120,7 +120,8 @@ class Dyadic:
         return f"Dyadic({self._num}, {self._exp})"
 
     def __hash__(self) -> int:
-        return hash((self._num, self._exp))
+        # the hash of the equal Fraction (and int), as __eq__ requires
+        return hash(self.to_fraction())
 
     def __bool__(self) -> bool:
         return self._num != 0

@@ -65,11 +65,12 @@ def _weights(n: int) -> list[Fraction]:
 
 
 def phi_exact_raw(q: int, n: int) -> Fraction:
-    """Literal double-sum evaluation of phi(q/2^n), |q| < 2^n.
+    """Literal double-sum evaluation of phi(q/2^n), |q| < 2^n (|q| <= 1 at n = 0).
 
     No evenness or reflection folding and no memoization: this is the debug
     twin used to differential-test the optimized path.  q may be negative or
-    even; the empty sum at q = -2^n + ... <= -2^n boundary yields 0.
+    even.  At q = -2^n, which only n = 0 admits, the sum over h is empty and
+    yields phi(-1) = 0.
     """
     if n < 0:
         raise ValueError("level n must be >= 0")
@@ -194,13 +195,12 @@ def phi_derivative(k: int, t: Dyadic | int | Fraction) -> Fraction:
     if k < 0:
         raise ValueError("derivative order must be >= 0")
     t = as_dyadic(t)
-    if abs(t.num) > (1 << t.exp):
+    # above order t.exp, 2^k t + 2^k is an even integer, where theta vanishes;
+    # returning first skips the k-bit shifts and 2^C(k+1,2)
+    if k > t.exp or abs(t.num) > (1 << t.exp):
         return Fraction(0)
     arg = Dyadic((t.num << k) + (1 << (k + t.exp)), t.exp)
-    value = theta_exact(arg)
-    if not value:
-        return value  # skip building 2^C(k+1,2), huge for large k
-    return (1 << (k * (k + 1) // 2)) * value
+    return (1 << (k * (k + 1) // 2)) * theta_exact(arg)
 
 
 class TaylorPolynomial(NamedTuple):

@@ -60,7 +60,7 @@ def _result(index, name, start, passed, detail) -> CriterionResult:
 
 
 def criterion_1_golden_table() -> CriterionResult:
-    from .cli import render_table  # local import: cli depends on this module
+    from .cli import render_table  # local import: only this criterion uses the CLI
 
     start = time.perf_counter()
     lines = render_table(5)

@@ -101,14 +101,14 @@ def transform_pole_product(x: float, m_max: int) -> float:
     return out
 
 
-def transform_value(x: float, m_max: int = DEFAULT_M_MAX, terms: int = 24) -> float:
+def transform_value(x: float, m_max: int = DEFAULT_M_MAX) -> float:
     """Transform at real x: series where it converges fast (|x| <= 1), product beyond.
 
     The two routes overlap on [0, 1], which the tests use for differential
     checking; numerically they agree to ~1e-15 there.
     """
     if abs(x) <= 1.0:
-        return transform_series(x, terms)
+        return transform_series(x)
     return transform_product(x, m_max)
 
 
@@ -162,24 +162,18 @@ def translate_sum(t: float, u: float, fc: FourierCoefficients) -> float:
     return sum(phi_fourier(t + u * k, fc) for k in range(lo, hi + 1))
 
 
-def translate_sum_synthesis(
-    t: float, u: float, m_max: int = DEFAULT_M_MAX, terms: int = 128
-) -> float:
+def translate_sum_synthesis(t: float, u: float) -> float:
     """Fourier side of the periodization identity.
 
-    (1/u) sum_k hat(k/u) e^(2 pi i k t / u), folded to a real cosine sum; the
-    exponential is t-dependent, which is what the direct side's Fourier
-    expansion in t requires.
+    (1/u) sum_k hat(k/u) e^(2 pi i k t / u), folded to a real cosine sum over
+    |k| <= 128; the exponential is t-dependent, which is what the direct
+    side's Fourier expansion in t requires.
     """
     if u <= 0:
         raise ValueError("u must be > 0")
-    total = transform_value(0.0, m_max) / u
-    for m in range(1, terms + 1):
-        total += (
-            2.0 / u
-            * transform_value(m / u, m_max)
-            * math.cos(2 * math.pi * m * t / u)
-        )
+    total = transform_value(0.0) / u
+    for m in range(1, 129):
+        total += 2.0 / u * transform_value(m / u) * math.cos(2 * math.pi * m * t / u)
     return total
 
 
@@ -192,11 +186,7 @@ def _phi_float(t: float, fc: FourierCoefficients) -> float:
     return phi_fourier(t, fc)
 
 
-def poisson_check(
-    a: float,
-    fc: FourierCoefficients | None = None,
-    m_max: int = DEFAULT_M_MAX,
-) -> tuple[float, float]:
+def poisson_check(a: float, fc: FourierCoefficients) -> tuple[float, float]:
     """Two sides of the lattice identity a + 2a phi(a) = sum_m hat(m/a).
 
     Valid for 1/2 <= a <= 1.  The left side uses the exact evaluator when a
@@ -205,14 +195,12 @@ def poisson_check(
     """
     if not 0.5 <= a <= 1.0:
         raise ValueError("poisson_check requires 1/2 <= a <= 1")
-    if fc is None:
-        fc = fourier_coefficients(m_max=m_max)
     lhs = a + 2.0 * a * _phi_float(a, fc)
-    rhs = transform_value(0.0, m_max)
+    rhs = transform_value(0.0)
     tiny_run = 0
     m = 1
     while m <= 512 and tiny_run < 4:
-        term = 2.0 * transform_value(m / a, m_max)
+        term = 2.0 * transform_value(m / a)
         rhs += term
         tiny_run = tiny_run + 1 if abs(term) < 1e-18 else 0
         m += 1

@@ -13,7 +13,7 @@ from fabius.approximants import step_function
 from fabius.cli import _emit, main
 from fabius.coefficients import phi_near_one
 from fabius.core import Dyadic, format_rational, parse_rational
-from fabius.exact import phi_derivative, phi_exact
+from fabius.exact import phi_derivative, phi_exact, taylor_at
 from fabius.spectral import DEFAULT_M_MAX, fourier_coefficients, phi_fourier
 
 GOLDEN = Path(__file__).parent / "data" / "table_n5_golden.txt"
@@ -130,6 +130,11 @@ class TestDerivAndTaylor:
         code, out, _ = run_cli(capsys, "taylor", "-1", "1", "2")
         values = [line.split("\t")[1] for line in out.splitlines()]
         assert values == ["1/2", "2", "0"]
+
+    def test_deriv_huge_order(self, capsys):
+        # above the level every derivative vanishes; no 10^9-bit integer is built
+        code, out, err = run_cli(capsys, "deriv", "1000000000", "1", "3")
+        assert (code, out, err) == (0, "0\n", "")
 
 
 class TestDeepLevels:
@@ -259,6 +264,27 @@ class TestInputCaps:
         assert code == 1
         assert out == ""
         assert "coeffs count must be in 0..300" in err
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_taylor_order(self, capsys, monkeypatch, json_flag):
+        forbid(monkeypatch, "fabius.cli.taylor_at")
+        code, out, err = run_cli(capsys, *json_flag, "taylor", "1", "3", "1000001")
+        assert code == 1
+        assert out == ""
+        assert "taylor order must be at most 1000000" in err
+
+    def test_largest_taylor_order(self, capsys, monkeypatch):
+        # the cap itself is accepted; a stub stands in for the padded zeros
+        orders = []
+
+        def stub(t, max_order):
+            orders.append(max_order)
+            return taylor_at(t, 3)
+
+        monkeypatch.setattr("fabius.cli.taylor_at", stub)
+        code, out, _ = run_cli(capsys, "taylor", "1", "3", "1000000")
+        assert (code, orders) == (0, [1000000])
+        assert out.splitlines()[0] == "0\t287/288"
 
     @pytest.mark.parametrize("argv", [("eval", "1", "3"), ("table", "3")])
     def test_scan_level_flag(self, capsys, monkeypatch, argv):

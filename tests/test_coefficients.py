@@ -50,6 +50,14 @@ def assert_d_recurrence(d):
         assert lhs == rhs
 
 
+def double_factorial_odd(k):
+    # (2k+1)!! = (2k+1)(2k-1)...1
+    out = 1
+    for j in range(3, 2 * k + 2, 2):
+        out *= j
+    return out
+
+
 def assert_prefixes(prefixes):
     longest = max(prefixes, key=len)
     for p in prefixes:
@@ -80,9 +88,22 @@ class TestSeriesCoefficients:
         F = series_integer_numerators(series_coefficients(4))
         assert F == (1, 1, 19, 2915, 2788989)
 
+    def test_integer_numerators_literal_normaliser(self):
+        # F_k = (2k+1)!! * prod_{1<=j<=k} (4^j - 1) * c_k, written out
+        c = series_coefficients(60)
+        expected = []
+        prod = 1
+        for k, ck in enumerate(c):
+            if k > 0:
+                prod *= (1 << (2 * k)) - 1
+            expected.append(ck * double_factorial_odd(k) * prod)
+        assert series_integer_numerators(c) == tuple(expected)
+
     def test_corrupted_table_detected(self):
-        with pytest.raises(TableIntegrityError):
+        with pytest.raises(TableIntegrityError, match=r"^F\[1\] is not a positive integer: 9/7$"):
             series_integer_numerators((Fraction(1), Fraction(1, 7)))
+        with pytest.raises(TableIntegrityError, match=r"^F\[2\] is not a positive integer: -19$"):
+            series_integer_numerators((Fraction(1), Fraction(1, 9), Fraction(-19, 675)))
 
 
 class TestExpMomentCoefficients:
@@ -110,9 +131,22 @@ class TestExpMomentCoefficients:
         G = exp_moment_integer_numerators(exp_moment_coefficients(3))
         assert G == (1, 1, 5, 84)
 
+    def test_integer_numerators_literal_normaliser(self):
+        # G_n = (n+1)! * prod_{1<=k<=n} (2^k - 1) * d_n, written out
+        d = exp_moment_coefficients(60)
+        expected = []
+        prod = 1
+        for n, dn in enumerate(d):
+            if n > 0:
+                prod *= (1 << n) - 1
+            expected.append(dn * factorial(n + 1) * prod)
+        assert exp_moment_integer_numerators(d) == tuple(expected)
+
     def test_corrupted_table_detected(self):
-        with pytest.raises(TableIntegrityError):
+        with pytest.raises(TableIntegrityError, match=r"^G\[1\] is not a positive integer: 2/5$"):
             exp_moment_integer_numerators((Fraction(1), Fraction(1, 5)))
+        with pytest.raises(TableIntegrityError, match=r"^G\[0\] is not a positive integer: 0$"):
+            exp_moment_integer_numerators((Fraction(0),))
 
 
 class TestMoments:

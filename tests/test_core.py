@@ -129,6 +129,20 @@ class TestDyadic:
         assert Dyadic(2, 1) == 1
         assert Dyadic(5, 0) + 2 == 7
 
+    @given(st.integers(min_value=-(2**70), max_value=2**70), st.integers(min_value=0, max_value=70))
+    def test_hash_matches_equal_fraction_and_int(self, num, exp):
+        d = Dyadic(num, exp)
+        assert hash(d) == hash(Fraction(num, 1 << exp))
+        if d.exp == 0:
+            assert d == d.num and hash(d) == hash(d.num)
+
+    def test_equal_values_dedupe_in_a_set(self):
+        assert hash(Dyadic(3)) == hash(3)
+        assert hash(Dyadic(-1, 1)) == hash(Fraction(-1, 2))
+        assert len({Dyadic(1, 1), Fraction(1, 2)}) == 1
+        assert len({Dyadic(-6, 1), -3, Fraction(-3), Dyadic(-3)}) == 1
+        assert len({Dyadic(0, 5), 0, Fraction(0)}) == 1
+
     def test_mul_pow2_and_floor(self):
         assert Dyadic(3, 2).mul_pow2(2) == 3
         assert Dyadic(3, 0).mul_pow2(-2) == Dyadic(3, 2)

@@ -319,6 +319,27 @@ class TestDerivatives:
                 for k in range(n + 1, n + 11):
                     assert phi_derivative(k, t) == 0
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_theta_scaling_at_every_order(self, n):
+        # the order cut-off against phi^(k)(t) = 2^C(k+1,2) theta(2^k t + 2^k),
+        # at every point of level n, the support edges included
+        for q in range(-(1 << n), (1 << n) + 1):
+            t = Dyadic(q, n)
+            for k in range(n + 4):
+                arg = t.mul_pow2(k) + (1 << k)
+                expected = (1 << (k * (k + 1) // 2)) * theta_exact(arg)
+                assert phi_derivative(k, t) == expected
+
+    def test_order_above_the_level_allocates_nothing(self):
+        # 2^k t + 2^k alone would be a 10^9-bit integer, about 130 MB
+        tracemalloc.start()
+        try:
+            assert phi_derivative(10**9, Dyadic(1, 3)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_vanishing_order_skips_the_power_of_two(self):
         # 2^C(k+1,2) at k = 20000 alone would take about 25 MB
         tracemalloc.start()
