@@ -101,7 +101,7 @@ def transform_pole_product(x: float, m_max: int) -> float:
     return out
 
 
-def transform_value(x: float, m_max: int = DEFAULT_M_MAX) -> float:
+def transform_value(x: float) -> float:
     """Transform at real x: series where it converges fast (|x| <= 1), product beyond.
 
     The two routes overlap on [0, 1], which the tests use for differential
@@ -109,7 +109,7 @@ def transform_value(x: float, m_max: int = DEFAULT_M_MAX) -> float:
     """
     if abs(x) <= 1.0:
         return transform_series(x)
-    return transform_product(x, m_max)
+    return transform_product(x)
 
 
 class FourierCoefficients(NamedTuple):
