@@ -45,7 +45,6 @@ _LAYERS = {
         "transform_product_tail_bound",
         "transform_series",
         "transform_pole_product",
-        "transform_value",
         "FourierCoefficients",
         "fourier_coefficients",
         "phi_fourier",

@@ -11,7 +11,7 @@ FABIUS_FOURIER_K for the synthesis length, FABIUS_TABLE_MAX for the largest
 level ``table`` accepts and the largest level ``eval`` will scan to find the
 minimal common denominator.  ``eval``, ``deriv`` and ``taylor`` accept
 levels up to the fixed ``MAX_LEVEL``, ``taylor`` orders up to
-``MAX_TAYLOR_ORDER``, ``approx`` up to ``MAX_APPROX_LEVEL``, ``coeffs``
+``exact.MAX_TAYLOR_ORDER``, ``approx`` up to ``MAX_APPROX_LEVEL``, ``coeffs``
 counts up to ``MAX_COEFFS``, and ``eval-float --grid`` as well
 as the ``--max-level`` of ``eval`` and ``table`` (and so
 FABIUS_TABLE_MAX) up to ``MAX_GRID_LEVEL``.  The synthesis length is capped
@@ -59,9 +59,6 @@ MAX_APPROX_LEVEL = 16
 MAX_GRID_LEVEL = 14
 # coeffs G 300 takes about 6 s and coeffs c 300 about 50 s.
 MAX_COEFFS = 300
-# taylor pads zeros above the degree, so time and memory grow linearly in
-# ORDER: taylor 1 3 1000000 takes about 2 s and 92 MB.
-MAX_TAYLOR_ORDER = 10**6
 # Synthesis length K: time grows linearly in K, so fourier-coeffs 10^5 took
 # 2.3 s; fourier-coeffs 1024 takes 0.12 s, and eval-float --grid 14 at
 # K = 1024 about 5 s.
@@ -307,10 +304,7 @@ def _cmd_deriv(args) -> int:
 
 
 def _cmd_taylor(args) -> int:
-    t = _point(args)
-    if args.order > MAX_TAYLOR_ORDER:
-        raise ValueError(f"taylor order must be at most {MAX_TAYLOR_ORDER}")
-    poly = taylor_at(t, args.order)
+    poly = taylor_at(_point(args), args.order)
     values = [format_rational(c) for c in poly.coeffs]
     _emit(
         args,
@@ -389,25 +383,22 @@ def _cmd_mc(args) -> int:
 def _cmd_selftest(args) -> int:
     from .selftest import run_all
 
-    if args.json:
-        results = run_all(emit=lambda line: None)
-        _emit(
-            args,
-            "selftest",
-            lambda: [
-                {
-                    "index": r.index,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                    "elapsed_s": r.elapsed,
-                }
-                for r in results
-            ],
-            [],
-        )
-    else:
-        results = run_all()
+    results = run_all(emit=(lambda line: None) if args.json else print)
+    _emit(
+        args,
+        "selftest",
+        lambda: [
+            {
+                "index": r.index,
+                "name": r.name,
+                "passed": r.passed,
+                "detail": r.detail,
+                "elapsed_s": r.elapsed,
+            }
+            for r in results
+        ],
+        [],
+    )
     return 0 if all(r.passed for r in results) else INTEGRITY_ERROR
 
 

@@ -80,8 +80,9 @@ def _integer_numerators(values, divisor, name: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-# Only spectral.transform_series asks for a prefix again; the cache stays
-# because perfbench's tracer reads cache_info().
+# exact._weights asks for a prefix again when two levels share n//2 (eval 2 9
+# gets one cache hit); the cache stays because perfbench's tracer reads
+# cache_info().
 @lru_cache(maxsize=1)
 def series_coefficients(n_max: int) -> tuple[Fraction, ...]:
     """The rationals c_0..c_n_max; c_0 = 1, all strictly positive."""

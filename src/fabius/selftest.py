@@ -256,7 +256,7 @@ def criterion_10_lattice_identities() -> CriterionResult:
         if worst > 1e-9:
             problems.append(f"unity sum n={n}: err {worst:.2e}")
     for a in (0.5, 0.75, 1.0):
-        lhs, rhs = spectral.poisson_check(a, fc)
+        lhs, rhs = spectral.poisson_check(a)
         if abs(lhs - rhs) > 1e-8:
             problems.append(f"lattice identity a={a}: |{lhs} - {rhs}|")
     return _result(

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .coefficients import series_coefficients
-from .core import Dyadic, val2
+from .core import val2
 from .exact import phi_exact
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "transform_product_tail_bound",
     "transform_series",
     "transform_pole_product",
-    "transform_value",
     "FourierCoefficients",
     "fourier_coefficients",
     "phi_fourier",
@@ -44,10 +43,6 @@ __all__ = [
 
 DEFAULT_M_MAX = 60
 DEFAULT_FOURIER_K = 64
-
-# Exact-route cutoff for float arguments: every float is dyadic, but only
-# small exponents are cheap to evaluate exactly.
-_EXACT_EXP_CUTOFF = 16
 
 
 def transform_product(x: float, m_max: int = DEFAULT_M_MAX) -> float:
@@ -99,17 +94,6 @@ def transform_pole_product(x: float, m_max: int) -> float:
     for m in range(1, m_max + 1):
         out *= (1.0 - xx / (m * m)) ** (1 + val2(m))
     return out
-
-
-def transform_value(x: float) -> float:
-    """Transform at real x: series where it converges fast (|x| <= 1), product beyond.
-
-    The two routes overlap on [0, 1], which the tests use for differential
-    checking; numerically they agree to ~1e-15 there.
-    """
-    if abs(x) <= 1.0:
-        return transform_series(x)
-    return transform_product(x)
 
 
 class FourierCoefficients(NamedTuple):
@@ -171,36 +155,28 @@ def translate_sum_synthesis(t: float, u: float) -> float:
     """
     if u <= 0:
         raise ValueError("u must be > 0")
-    total = transform_value(0.0) / u
+    total = transform_product(0.0) / u
     for m in range(1, 129):
-        total += 2.0 / u * transform_value(m / u) * math.cos(2 * math.pi * m * t / u)
+        total += 2.0 / u * transform_product(m / u) * math.cos(2 * math.pi * m * t / u)
     return total
 
 
-def _phi_float(t: float, fc: FourierCoefficients) -> float:
-    # exact route whenever the float is a cheap dyadic
-    num, den = float(t).as_integer_ratio()
-    exp = den.bit_length() - 1
-    if exp <= _EXACT_EXP_CUTOFF:
-        return float(phi_exact(Dyadic(num, exp)))
-    return phi_fourier(t, fc)
-
-
-def poisson_check(a: float, fc: FourierCoefficients) -> tuple[float, float]:
+def poisson_check(a: float) -> tuple[float, float]:
     """Two sides of the lattice identity a + 2a phi(a) = sum_m hat(m/a).
 
-    Valid for 1/2 <= a <= 1.  The left side uses the exact evaluator when a
-    is a cheap dyadic; the right side is truncated once the terms stay
+    Valid for 1/2 <= a <= 1.  Every double there is a dyadic of level at
+    most 53, so the left side takes phi(a) from the exact evaluator and is
+    rounded once.  The right side is truncated once the terms stay
     negligible (terms are not monotone: integer arguments give ~0).
     """
     if not 0.5 <= a <= 1.0:
         raise ValueError("poisson_check requires 1/2 <= a <= 1")
-    lhs = a + 2.0 * a * _phi_float(a, fc)
-    rhs = transform_value(0.0)
+    lhs = a + 2.0 * a * float(phi_exact(Fraction(a)))
+    rhs = transform_product(0.0)
     tiny_run = 0
     m = 1
     while m <= 512 and tiny_run < 4:
-        term = 2.0 * transform_value(m / a)
+        term = 2.0 * transform_product(m / a)
         rhs += term
         tiny_run = tiny_run + 1 if abs(term) < 1e-18 else 0
         m += 1

@@ -267,7 +267,7 @@ class TestInputCaps:
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)])
     def test_taylor_order(self, capsys, monkeypatch, json_flag):
-        forbid(monkeypatch, "fabius.cli.taylor_at")
+        forbid(monkeypatch, "fabius.exact.phi_derivative")
         code, out, err = run_cli(capsys, *json_flag, "taylor", "1", "3", "1000001")
         assert code == 1
         assert out == ""

@@ -16,6 +16,7 @@ import fabius
 from fabius.coefficients import phi_near_one
 from fabius.core import Dyadic, thue_morse_sign
 from fabius.exact import (
+    MAX_TAYLOR_ORDER,
     _level_plan,
     _weights,
     level_denominator_bound,
@@ -390,3 +391,15 @@ class TestTaylor:
     def test_center_outside_support_rejected(self):
         with pytest.raises(ValueError):
             taylor_at(Dyadic(3, 1), 2)
+
+    def test_order_cap(self):
+        # above the cap the call is rejected before any zero is padded
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="taylor order must be at most 1000000"):
+                taylor_at(Dyadic(1, 3), MAX_TAYLOR_ORDER + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert taylor_at(Dyadic(1, 3), MAX_TAYLOR_ORDER).degree == 3

@@ -1,6 +1,7 @@
 """Spectral paths: products, series, Fourier synthesis, lattice identities."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,6 @@ from fabius.spectral import (
     transform_product,
     transform_product_tail_bound,
     transform_series,
-    transform_value,
     translate_sum,
     translate_sum_synthesis,
 )
@@ -53,21 +53,9 @@ class TestTransformSeries:
         assert abs(transform_series(0.25, 12) - transform_series(0.25, 13)) < 1e-15
 
     def test_overlap_region(self):
-        for i in range(11):
-            x = i / 10
+        # [0, 1] and through the |x| = 1 boundary
+        for x in [i / 10 for i in range(11)] + [0.99, 1.01, 1.1]:
             assert abs(transform_product(x) - transform_series(x)) <= 1e-12
-
-
-class TestTransformValue:
-    def test_routes(self):
-        assert transform_value(0.5) == transform_series(0.5)
-        assert transform_value(1.5) == transform_product(1.5)
-
-    def test_consistent_across_switch(self):
-        # both routes agree through the |x| = 1 boundary
-        for x in (0.9, 0.99, 1.0, 1.01, 1.1):
-            assert abs(transform_product(x) - transform_series(x)) <= 1e-12
-            assert abs(transform_value(x) - transform_product(x)) <= 1e-12
 
 
 def _tail_inv_pow(R: int, s: int) -> float:
@@ -160,11 +148,18 @@ class TestLatticeIdentities:
                 assert abs(direct - synthesized) <= 1e-8
 
     @pytest.mark.parametrize("a,lhs_expected", [(1.0, 1.0), (0.5, 1.0), (0.75, 0.75 + 5 / 48)])
-    def test_poisson_two_sided(self, fc, a, lhs_expected):
-        lhs, rhs = poisson_check(a, fc)
+    def test_poisson_two_sided(self, a, lhs_expected):
+        lhs, rhs = poisson_check(a)
         assert abs(lhs - lhs_expected) <= 1e-12
         assert abs(lhs - rhs) <= 1e-8
 
-    def test_poisson_domain(self, fc):
+    @pytest.mark.parametrize("a", [0.6, 2**-0.5, 0.9])
+    def test_poisson_deep_dyadic(self, a):
+        # a double at level up to 53: phi(a) still comes from the exact core
+        lhs, rhs = poisson_check(a)
+        assert lhs == a + 2 * a * float(phi_exact(Fraction(a)))
+        assert abs(lhs - rhs) <= 1e-14
+
+    def test_poisson_domain(self):
         with pytest.raises(ValueError):
-            poisson_check(0.3, fc)
+            poisson_check(0.3)
