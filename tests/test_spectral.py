@@ -53,8 +53,16 @@ class TestTransformSeries:
         assert abs(transform_series(0.25, 12) - transform_series(0.25, 13)) < 1e-15
 
     def test_overlap_region(self):
-        # [0, 1] and through the |x| = 1 boundary
-        for x in [i / 10 for i in range(11)] + [0.99, 1.01, 1.1]:
+        for i in range(11):
+            x = i / 10
+            assert abs(transform_product(x) - transform_series(x)) <= 1e-12
+
+
+class TestTransformValue:
+    def test_consistent_across_switch(self):
+        # the product, the transform's one route, agrees with the series
+        # through |x| = 1, past which the series suffers cancellation
+        for x in (0.9, 0.99, 1.0, 1.01, 1.1):
             assert abs(transform_product(x) - transform_series(x)) <= 1e-12
 
 
