@@ -30,7 +30,6 @@ __version__ = "0.1.0"
 # importing the layer
 _LAYERS = {
     "approximants": (
-        "IntPolynomial",
         "partition_polynomial",
         "partition_polynomial_degree",
         "plateau_numerators",

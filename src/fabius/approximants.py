@@ -3,7 +3,8 @@
 The polynomials are defined by p_0 = 1, p_n(x) = p_{n-1}(x^2) (1+x)^n; they
 factor as the product of the geometric blocks (1+x)(1+x+x^2+x^3)...(1+...+
 x^(2^n - 1)), so the coefficient of x^r counts the ways to write
-r = s_1 + ... + s_n with 0 <= s_i <= 2^i - 1.  Normalizing by
+r = s_1 + ... + s_n with 0 <= s_i <= 2^i - 1.  A polynomial here is the plain
+tuple of its integer coefficients, index = power of x.  Normalizing by
 2^n / 2^C(n+1,2) and laying the coefficients out on consecutive dyadic
 intervals of width 2^-n gives a unimodal step function of integral one that
 converges to phi.
@@ -12,13 +13,12 @@ converges to phi.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import NamedTuple
 
 from .core import Dyadic
 
 __all__ = [
-    "IntPolynomial",
     "partition_polynomial",
     "partition_polynomial_degree",
     "plateau_numerators",
@@ -28,60 +28,7 @@ __all__ = [
 ]
 
 
-class IntPolynomial:
-    """Dense integer-coefficient polynomial; index = power of x."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs) -> None:
-        coeffs = list(coeffs)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs = tuple(coeffs)
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
-
-    def __getitem__(self, power: int) -> int:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
-        return 0
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IntPolynomial):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial({list(self._coeffs)})"
-
-    def __mul__(self, other: IntPolynomial) -> IntPolynomial:
-        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a:
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
-
-    def __call__(self, x: int) -> int:
-        total = 0
-        for a in reversed(self._coeffs):
-            total = total * x + a
-        return total
-
-
-def partition_polynomial(n: int) -> IntPolynomial:
+def partition_polynomial(n: int) -> tuple[int, ...]:
     """p_n as the product of its geometric blocks, each one prefix-sum pass."""
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -90,7 +37,7 @@ def partition_polynomial(n: int) -> IntPolynomial:
         width = 1 << m
         sums = list(accumulate(p + [0] * (width - 1)))
         p = [a - b for a, b in zip(sums, [0] * width + sums)]
-    return IntPolynomial(p)
+    return tuple(p)
 
 
 def partition_polynomial_degree(n: int) -> int:
@@ -103,22 +50,20 @@ def partition_polynomial_degree(n: int) -> int:
     return g
 
 
-def restricted_partitions(m: int, r: int) -> int:
-    """Count tuples (s_1..s_m) with sum r and 0 <= s_i <= 2^i - 1.
+def restricted_partitions(m: int) -> tuple[int, ...]:
+    """Counts of tuples (s_1..s_m) with 0 <= s_i <= 2^i - 1, by their sum r.
 
-    Direct enumeration; this is the independent oracle for the coefficients
-    of p_m, intended for desk scale (m <= 5 or so).
+    Entry r is the count for sum r, for r = 0..deg p_m.  One pass over every
+    tuple, with no polynomial arithmetic: this is the independent oracle for
+    the coefficients of p_m.  It visits 2^C(m+1,2) tuples, which is desk
+    scale up to m = 5 (32768 tuples).
     """
-    if m < 0 or r < 0:
-        raise ValueError("arguments must be >= 0")
-
-    def count(i: int, remaining: int) -> int:
-        if i == 0:
-            return 1 if remaining == 0 else 0
-        cap = min(remaining, (1 << i) - 1)
-        return sum(count(i - 1, remaining - s) for s in range(cap + 1))
-
-    return count(m, r)
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    counts = [0] * (partition_polynomial_degree(m) + 1)
+    for s in product(*(range(1 << i) for i in range(1, m + 1))):
+        counts[sum(s)] += 1
+    return tuple(counts)
 
 
 class StepFunction(NamedTuple):
@@ -192,7 +137,7 @@ def plateau_numerators(n: int) -> tuple[tuple[int, ...], int]:
 
     E = C(n, 2), since 2^n / 2^C(n+1,2) = 2^-C(n,2).
     """
-    return partition_polynomial(n).coeffs, n * (n - 1) // 2
+    return partition_polynomial(n), n * (n - 1) // 2
 
 
 def step_function(n: int) -> StepFunction:

@@ -57,7 +57,7 @@ MAX_APPROX_LEVEL = 16
 # eval-float --grid L prints 2^(L+1) + 1 rows; L = 14 takes about 1 s.  It
 # also caps the level scan of eval and table, whose cost doubles per level.
 MAX_GRID_LEVEL = 14
-# coeffs G 300 takes about 6 s and coeffs c 300 about 50 s.
+# coeffs G 300 takes about 6 s and coeffs c 300 about 65 s.
 MAX_COEFFS = 300
 # Synthesis length K: time grows linearly in K, so fourier-coeffs 10^5 took
 # 2.3 s; fourier-coeffs 1024 takes 0.12 s, and eval-float --grid 14 at
@@ -89,10 +89,11 @@ def _env_int(name: str, default: int | None = None) -> int | None:
 
 
 def _max_level(args) -> int:
-    """The scan cap of eval and table, rejected above ``MAX_GRID_LEVEL``."""
-    if args.max_level > MAX_GRID_LEVEL:
+    """The scan cap of eval and table, rejected outside 0..``MAX_GRID_LEVEL``."""
+    if not 0 <= args.max_level <= MAX_GRID_LEVEL:
         raise ValueError(
             f"--max-level (or FABIUS_TABLE_MAX) must be at most {MAX_GRID_LEVEL}"
+            " and at least 0"
         )
     return args.max_level
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from typing import NamedTuple
 
@@ -207,10 +208,12 @@ def criterion_8_step_convergence() -> CriterionResult:
     if envelope[-1] >= Fraction(1, 50):
         problems.append(f"m=8 deviation {float(envelope[-1]):.6f} >= 0.02")
     for n in range(0, 6):
+        counts = approximants.restricted_partitions(n)
         poly = approximants.partition_polynomial(n)
-        for r in range(poly.degree + 1):
-            if approximants.restricted_partitions(n, r) != poly[r]:
-                problems.append(f"partition count mismatch at n={n}, r={r}")
+        if counts != poly:
+            pairs = enumerate(zip_longest(counts, poly))
+            r = next(r for r, (a, b) in pairs if a != b)
+            problems.append(f"partition count mismatch at n={n}, r={r}")
     detail = (
         "envelope " + ", ".join(f"{float(d):.6f}" for d in envelope)
         + ("; " + "; ".join(problems) if problems else "")

@@ -1,11 +1,10 @@
-"""Integer polynomials, step approximants, restricted partitions."""
+"""Partition polynomials, step approximants, restricted partitions."""
 
 from fractions import Fraction
 
 import pytest
 
 from fabius.approximants import (
-    IntPolynomial,
     partition_polynomial,
     partition_polynomial_degree,
     restricted_partitions,
@@ -29,11 +28,20 @@ MEASURED_ENVELOPE = {
 }
 
 
-def geometric_block_product(n: int) -> IntPolynomial:
+def convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    # schoolbook product of two coefficient tuples
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def geometric_block_product(n: int) -> tuple[int, ...]:
     # independent construction: (1+x)(1+x+x^2+x^3)...(1+...+x^(2^n - 1))
-    poly = IntPolynomial([1])
+    poly = (1,)
     for k in range(1, n + 1):
-        poly = poly * IntPolynomial([1] * (1 << k))
+        poly = convolve(poly, (1,) * (1 << k))
     return poly
 
 
@@ -42,7 +50,7 @@ class TestPartitionPolynomial:
         "n,coeffs", [(0, (1,)), (1, (1, 1)), (2, (1, 2, 2, 2, 1))]
     )
     def test_small_cases(self, n, coeffs):
-        assert partition_polynomial(n).coeffs == coeffs
+        assert partition_polynomial(n) == coeffs
 
     def test_equals_block_factorization(self):
         for n in range(0, 9):
@@ -52,7 +60,7 @@ class TestPartitionPolynomial:
         # p_{m+1}(x) = p_m(x) * (1 + x + ... + x^(2^(m+1) - 1))
         for m in range(0, 7):
             lhs = partition_polynomial(m + 1)
-            rhs = partition_polynomial(m) * IntPolynomial([1] * (1 << (m + 1)))
+            rhs = convolve(partition_polynomial(m), (1,) * (1 << (m + 1)))
             assert lhs == rhs
 
     def test_defining_recurrence(self):
@@ -64,17 +72,17 @@ class TestPartitionPolynomial:
             p = stretched
             for _ in range(n):
                 p = [a + b for a, b in zip(p + [0], [0] + p)]
-            assert list(partition_polynomial(n).coeffs) == p
+            assert list(partition_polynomial(n)) == p
 
     def test_palindromic_and_positive(self):
         for n in range(0, 9):
             poly = partition_polynomial(n)
-            assert poly.coeffs == poly.coeffs[::-1]
-            assert all(a > 0 for a in poly.coeffs)
+            assert poly == poly[::-1]
+            assert all(a > 0 for a in poly)
 
     def test_coefficient_sum(self):
         for n in range(0, 9):
-            assert partition_polynomial(n)(1) == 1 << (n * (n + 1) // 2)
+            assert sum(partition_polynomial(n)) == 1 << (n * (n + 1) // 2)
 
 
 class TestDegree:
@@ -84,7 +92,7 @@ class TestDegree:
 
     def test_matches_polynomial(self):
         for n in range(0, 9):
-            assert partition_polynomial_degree(n) == partition_polynomial(n).degree
+            assert partition_polynomial_degree(n) == len(partition_polynomial(n)) - 1
 
     def test_closed_form(self):
         # g_n = 2^n * sum_{k<=n} k / 2^k
@@ -95,16 +103,18 @@ class TestDegree:
 
 class TestRestrictedPartitions:
     def test_examples(self):
-        assert restricted_partitions(2, 2) == 2  # (0,2) and (1,1)
-        assert restricted_partitions(2, 4) == 1  # only (1,3)
+        assert restricted_partitions(2)[2] == 2  # (0,2) and (1,1)
+        assert restricted_partitions(2)[4] == 1  # only (1,3)
         for m in range(6):
-            assert restricted_partitions(m, 0) == 1
+            assert restricted_partitions(m)[0] == 1
 
     def test_oracle_equivalence(self):
         for n in range(0, 6):
-            poly = partition_polynomial(n)
-            for r in range(poly.degree + 2):
-                assert restricted_partitions(n, r) == poly[r]
+            assert restricted_partitions(n) == partition_polynomial(n)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            restricted_partitions(-1)
 
 
 class TestStepFunction:

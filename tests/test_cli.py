@@ -303,6 +303,29 @@ class TestInputCaps:
         assert out == ""
         assert "must be at most 14" in err
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("argv", [("eval", "1", "3"), ("table", "3")])
+    def test_scan_level_negative(self, capsys, monkeypatch, argv, source):
+        if source == "flag":
+            argv = (*argv, "--max-level", "-1")
+        else:
+            monkeypatch.setenv("FABIUS_TABLE_MAX", "-1")
+        forbid(monkeypatch, "fabius.cli.level_values", "fabius.cli.phi_exact")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "--max-level (or FABIUS_TABLE_MAX) must be at most 14 and at least 0" in err
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_scan_level_zero(self, capsys, monkeypatch, source):
+        argv = ("table", "0")
+        if source == "flag":
+            argv = (*argv, "--max-level", "0")
+        else:
+            monkeypatch.setenv("FABIUS_TABLE_MAX", "0")
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, "0\t1\t1\n1\t0\t0\n")
+
 
 class TestApprox:
     def test_csv_roundtrip(self, capsys):

@@ -7,12 +7,13 @@ import sys
 import textwrap
 import tracemalloc
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from unittest import mock
 
 import pytest
 
 import fabius
+from fabius.cli import level_denominator
 from fabius.coefficients import phi_near_one
 from fabius.core import Dyadic, thue_morse_sign
 from fabius.exact import (
@@ -36,6 +37,38 @@ GOLDEN_LEVEL5 = (
     25219, 2288, 19, 0,
 )
 D5 = 33177600
+
+
+def thue_morse_level(n: int) -> tuple[int, list[int]]:
+    """(D, [D * phi(q/2^n) for q = 0..2^n]) by the Thue-Morse product.
+
+    An oracle for whole levels that shares no code with the block plans:
+    D * phi(q/2^n) = sum_{h < T} (-1)^s(h) g[T-1-h] with T = q + 2^n and
+    g[j] = D * f(2j+1), f the level's weighted polynomial.  Below 2^(n+1)
+    the signs are the coefficients of prod_{i<=n} (1 - x^(2^i)), so one
+    pass v[j] -= v[j - 2^i] per factor turns g into every numerator.
+    g comes from n forward differences of its first n + 1 values.
+    """
+    weights = _weights(n)
+    d = lcm(*(w.denominator for w in weights))
+    coeffs = [int(w * d) for w in weights]
+    diffs = [
+        sum(c * (2 * j + 1) ** (n - 2 * k) for k, c in enumerate(coeffs))
+        for j in range(n + 1)
+    ]
+    for k in range(1, n + 1):
+        for j in range(n, k - 1, -1):
+            diffs[j] -= diffs[j - 1]
+    g = []
+    for _ in range(2 << n):
+        g.append(diffs[0])
+        for k in range(n):
+            diffs[k] += diffs[k + 1]
+    for i in range(n + 1):
+        step = 1 << i
+        for j in range(len(g) - 1, step - 1, -1):
+            g[j] -= g[j - step]
+    return d, g[(1 << n) - 1:]
 
 
 class TestPhiExact:
@@ -176,6 +209,16 @@ class TestLevelValues:
                 raw = [phi_exact_raw(q, n) for q in range(1 << n)]
                 assert values == raw + [Fraction(0)]
 
+    def test_equals_thue_morse_product(self):
+        for n in range(15):
+            d, numerators = thue_morse_level(n)
+            assert level_values(n) == [Fraction(a, d) for a in numerators]
+
+    def test_minimal_denominator_is_gcd_form(self):
+        for n in range(15):
+            d, numerators = thue_morse_level(n)
+            assert level_denominator(n) == d // gcd(d, *numerators)
+
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
             level_values(-1)
@@ -217,6 +260,18 @@ class TestLevelValues:
 
 
 class TestIdentities:
+    @pytest.mark.parametrize("n", [10, 14])
+    def test_partition_of_unity_at_dyadic_spacings(self, n):
+        # sum_k phi(t + k/2^j) = 2^j exactly, at every t = q/2^n
+        half = level_values(n)
+        d = lcm(*(v.denominator for v in half))
+        half = [v.numerator * (d // v.denominator) for v in half]
+        values = half[:0:-1] + half  # d * phi(q/2^n), q = -2^n..2^n, by evenness
+        for j in range(6):
+            step = 1 << (n - j)
+            for r in range(step):
+                assert sum(values[r::step]) == d << j
+
     def test_functional_equation_exact(self):
         for q in range(-64, 65):
             t = Dyadic(q, 6)
