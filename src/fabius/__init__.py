@@ -41,13 +41,10 @@ _LAYERS = {
         "DEFAULT_M_MAX",
         "DEFAULT_FOURIER_K",
         "transform_product",
-        "transform_product_tail_bound",
         "transform_series",
         "transform_pole_product",
-        "FourierCoefficients",
         "fourier_coefficients",
         "phi_fourier",
-        "partition_of_unity",
         "translate_sum",
         "translate_sum_synthesis",
         "poisson_check",

@@ -358,8 +358,8 @@ def _cmd_fourier_coeffs(args) -> int:
     _emit(
         args,
         "fourier",
-        lambda: {"K": fc.K, "m_max": m_max, "a": list(fc.a)},
-        (f"{k}\t{_float_str(ak)}" for k, ak in enumerate(fc.a)),
+        lambda: {"K": len(fc), "m_max": m_max, "a": list(fc)},
+        (f"{k}\t{_float_str(ak)}" for k, ak in enumerate(fc)),
     )
     return 0
 

@@ -1,11 +1,13 @@
-"""Exact arithmetic substrate: dyadic rationals and binary digit helpers.
+"""Exact arithmetic substrate: dyadic rationals and two binary helpers.
 
 Dyadic rationals q/2^n form the evaluation grid of the whole package.  They
 are kept as an explicit (numerator, exponent) pair, distinct from general
 rationals, so that level-indexed algorithms never have to re-derive n from a
 denominator.  General exact rationals are plain ``fractions.Fraction``
 values, which already guarantee the canonical form this package relies on
-(positive denominator, fully reduced).
+(positive denominator, fully reduced).  The binary helpers are the 2-adic
+valuation, which the pole form of the transform uses, and the Thue-Morse
+sign of the exact evaluator's blocks and of the Fourier coefficients.
 """
 
 from __future__ import annotations
@@ -17,19 +19,11 @@ from functools import total_ordering
 __all__ = [
     "Dyadic",
     "canonical_dyadic",
-    "digit_sum",
     "val2",
     "thue_morse_sign",
     "format_rational",
     "parse_rational",
 ]
-
-
-def digit_sum(k: int) -> int:
-    """Number of ones in the binary expansion of k (k >= 0)."""
-    if k < 0:
-        raise ValueError("digit_sum() requires a non-negative integer")
-    return k.bit_count()
 
 
 def val2(m: int) -> int:
@@ -40,7 +34,7 @@ def val2(m: int) -> int:
 
 
 def thue_morse_sign(k: int) -> int:
-    """The sign (-1)**digit_sum(k); the first sixteen are + - - + - + + - - + + - + - - +."""
+    """(-1) to the binary digit sum of k: + - - + - + + - - + + - + - - + for k < 16."""
     return -1 if k.bit_count() & 1 else 1
 
 
@@ -187,10 +181,6 @@ class Dyadic:
         if k >= 0:
             return Dyadic(self._num << k, self._exp)
         return Dyadic(self._num, self._exp - k)
-
-    def floor(self) -> int:
-        """Largest integer <= value (arithmetic shift floors negatives correctly)."""
-        return self._num >> self._exp
 
     def __float__(self) -> float:
         return self._num / (1 << self._exp)

@@ -222,13 +222,6 @@ class TaylorPolynomial(NamedTuple):
                 return k
         return -1
 
-    def __call__(self, x: Fraction | int) -> Fraction:
-        x = Fraction(x)
-        total = Fraction(0)
-        for coeff in reversed(self.coeffs):
-            total = total * x + coeff
-        return total
-
 
 # taylor_at pads zeros above the degree, so time and memory grow linearly in
 # the order: taylor 1 3 1000000 takes about 2 s and 92 MB.

@@ -175,7 +175,7 @@ def criterion_7_spectral_agreement() -> CriterionResult:
         )
         worst = max(worst, err)
     signs_ok = all(
-        (fc.a[k] > 0) == (thue_morse_sign(k) > 0) for k in range(16)
+        (fc[k] > 0) == (thue_morse_sign(k) > 0) for k in range(16)
     )
     ok = worst <= 1e-10 and signs_ok
     return _result(
@@ -253,7 +253,7 @@ def criterion_10_lattice_identities() -> CriterionResult:
     fc = spectral.fourier_coefficients()
     for n in (1, 2, 3):
         worst = max(
-            abs(spectral.partition_of_unity(-0.95 + 0.1 * j, n, fc) - n)
+            abs(spectral.translate_sum(-0.95 + 0.1 * j, 1 / n, fc) - n)
             for j in range(20)
         )
         if worst > 1e-9:

@@ -10,16 +10,17 @@ convergent cosine synthesis
 
     phi(t) = 1/2 + sum_{k>=0} hat((2k+1)/2) * cos((2k+1) pi t),  t in [-1, 1],
 
-whose coefficient signs follow the Thue-Morse sequence.  Everything here is
-double precision; the exact modules never route through this one, it exists
-as a verification and plotting surface.
+whose coefficient signs follow the Thue-Morse sequence; the coefficients are
+a plain tuple of floats.  The translates of phi at spacing 1/n sum to n (the
+partition of unity), which is :func:`translate_sum` at u = 1/n.  Everything
+here is double precision; the exact modules never route through this one, it
+exists as a verification and plotting surface.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 from .coefficients import series_coefficients
 from .core import val2
@@ -29,13 +30,10 @@ __all__ = [
     "DEFAULT_M_MAX",
     "DEFAULT_FOURIER_K",
     "transform_product",
-    "transform_product_tail_bound",
     "transform_series",
     "transform_pole_product",
-    "FourierCoefficients",
     "fourier_coefficients",
     "phi_fourier",
-    "partition_of_unity",
     "translate_sum",
     "translate_sum_synthesis",
     "poisson_check",
@@ -53,16 +51,6 @@ def transform_product(x: float, m_max: int = DEFAULT_M_MAX) -> float:
     for m in range(1, m_max + 1):
         out *= math.cos(math.pi * x / (1 << m)) ** m
     return out
-
-
-def transform_product_tail_bound(x: float, m_max: int) -> float:
-    """Bound on the neglected tail of :func:`transform_product`.
-
-    Each dropped factor differs from 1 by at most m (pi x / 2^m)^2 / 2; the
-    sum over m > m_max has the closed form below.
-    """
-    t = (math.pi * x) ** 2 / 2
-    return t * (12 * m_max + 16) / (9 * 4 ** (m_max + 1))
 
 
 def transform_series(x: float, terms: int = 24) -> float:
@@ -96,49 +84,33 @@ def transform_pole_product(x: float, m_max: int) -> float:
     return out
 
 
-class FourierCoefficients(NamedTuple):
-    """Snapshot of the cosine-synthesis coefficients a[k] ~ hat((2k+1)/2).
+def fourier_coefficients(
+    K: int = DEFAULT_FOURIER_K,
+    m_max: int = DEFAULT_M_MAX,
+) -> tuple[float, ...]:
+    """Coefficients a[k] = transform at (2k+1)/2 for k = 0..K-1.
 
     Signs follow the Thue-Morse sequence for every coefficient above 1e-10
     in magnitude; 1/2 + sum(a) reproduces phi(0) = 1 within 1e-10.
     """
-
-    a: tuple[float, ...]
-
-    @property
-    def K(self) -> int:
-        return len(self.a)
-
-
-def fourier_coefficients(
-    K: int = DEFAULT_FOURIER_K,
-    m_max: int = DEFAULT_M_MAX,
-) -> FourierCoefficients:
-    """Coefficients a[k] = transform at (2k+1)/2 for k = 0..K-1."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    return FourierCoefficients(
-        a=tuple(transform_product((2 * k + 1) / 2, m_max) for k in range(K)),
-    )
+    return tuple(transform_product((2 * k + 1) / 2, m_max) for k in range(K))
 
 
-def phi_fourier(t: float, fc: FourierCoefficients) -> float:
+def phi_fourier(t: float, fc: tuple[float, ...]) -> float:
     """Cosine synthesis of phi at any real t in [-1, 1]."""
     total = 0.5
-    for k, ak in enumerate(fc.a):
+    for k, ak in enumerate(fc):
         total += ak * math.cos((2 * k + 1) * math.pi * t)
     return total
 
 
-def partition_of_unity(t: float, n: int, fc: FourierCoefficients) -> float:
-    """sum_k phi(t + k/n) over the lattice points meeting [-1, 1]; contract: ~ n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return translate_sum(t, 1 / n, fc)
+def translate_sum(t: float, u: float, fc: tuple[float, ...]) -> float:
+    """Direct side of the periodization identity: sum_k phi(t + u k).
 
-
-def translate_sum(t: float, u: float, fc: FourierCoefficients) -> float:
-    """Direct side of the periodization identity: sum_k phi(t + u k)."""
+    At u = 1/n this is the partition of unity: the sum is n for every t.
+    """
     if u <= 0:
         raise ValueError("u must be > 0")
     lo = math.ceil((-1 - t) / u)

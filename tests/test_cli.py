@@ -14,7 +14,12 @@ from fabius.cli import _emit, main
 from fabius.coefficients import phi_near_one
 from fabius.core import Dyadic, format_rational, parse_rational
 from fabius.exact import phi_derivative, phi_exact, taylor_at
-from fabius.spectral import DEFAULT_M_MAX, fourier_coefficients, phi_fourier
+from fabius.spectral import (
+    DEFAULT_M_MAX,
+    fourier_coefficients,
+    phi_fourier,
+    transform_product,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "table_n5_golden.txt"
 
@@ -370,6 +375,21 @@ class TestFourierAndFloat:
         values = [float(line.split("\t")[1]) for line in out.splitlines()]
         assert [v > 0 for v in values] == [True, False, False, True, False, True, True, False]
 
+    @pytest.mark.parametrize("m_max", [1, 60, 1023])
+    @pytest.mark.parametrize("k", [1, 8, 64])
+    def test_fourier_coeffs_bytes(self, capsys, k, m_max):
+        # the expected bytes come from the product itself, not through
+        # fourier_coefficients, and spell out both output formats
+        a = [transform_product((2 * j + 1) / 2, m_max) for j in range(k)]
+        argv = ("fourier-coeffs", str(k), "--m-max", str(m_max))
+        _, out, _ = run_cli(capsys, *argv)
+        assert out == "".join(f"{j}\t{aj:.17g}\n" for j, aj in enumerate(a))
+        _, out, _ = run_cli(capsys, "--json", *argv)
+        assert out == (
+            f'{{"mode": "fourier", "payload": {{"K": {k}, "m_max": {m_max}, '
+            f'"a": [{", ".join(map(repr, a))}]}}}}\n'
+        )
+
     def test_float_roundtrips_17_digits(self, capsys):
         code, out, _ = run_cli(capsys, "eval-float", "0.75")
         assert abs(float(out.strip()) - 5 / 72) < 1e-10
@@ -499,7 +519,7 @@ class TestFourierInput:
         assert code == 0
         payload = json.loads(out)["payload"]
         assert payload["m_max"] == m_max
-        assert payload["a"] == list(fourier_coefficients(K=4, m_max=m_max).a)
+        assert payload["a"] == list(fourier_coefficients(K=4, m_max=m_max))
 
 
 class TestEmit:

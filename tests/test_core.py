@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fabius.core import (
     Dyadic,
-    digit_sum,
     format_rational,
     parse_rational,
     thue_morse_sign,
@@ -33,27 +32,24 @@ def brute_val2(m: int) -> int:
 
 
 class TestDigitSum:
+    # thue_morse_sign(k) is (-1) to the binary digit sum of k
     @pytest.mark.parametrize("k,expected", [(0, 0), (3, 2), (19, 3)])
     def test_examples(self, k, expected):
-        assert digit_sum(k) == expected
         assert brute_digit_sum(k) == expected
+        assert thue_morse_sign(k) == (-1) ** expected
 
     @given(st.integers(min_value=0, max_value=10**24))
     def test_matches_brute_force(self, k):
-        assert digit_sum(k) == brute_digit_sum(k)
+        assert thue_morse_sign(k) == (-1) ** brute_digit_sum(k)
 
     @given(st.integers(min_value=0, max_value=10**18))
     def test_recursion(self, k):
-        assert digit_sum(2 * k) == digit_sum(k)
-        assert digit_sum(2 * k + 1) == digit_sum(k) + 1
+        assert thue_morse_sign(2 * k) == thue_morse_sign(k)
+        assert thue_morse_sign(2 * k + 1) == -thue_morse_sign(k)
 
     def test_first_sixteen_signs(self):
         signs = [thue_morse_sign(k) for k in range(16)]
         assert signs == [1, -1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1, -1, -1, 1]
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            digit_sum(-1)
 
 
 class TestVal2:
@@ -143,11 +139,9 @@ class TestDyadic:
         assert len({Dyadic(-6, 1), -3, Fraction(-3), Dyadic(-3)}) == 1
         assert len({Dyadic(0, 5), 0, Fraction(0)}) == 1
 
-    def test_mul_pow2_and_floor(self):
+    def test_mul_pow2(self):
         assert Dyadic(3, 2).mul_pow2(2) == 3
         assert Dyadic(3, 0).mul_pow2(-2) == Dyadic(3, 2)
-        assert Dyadic(7, 1).floor() == 3
-        assert Dyadic(-7, 1).floor() == -4
 
 
 class TestRationalSerialization:

@@ -428,11 +428,6 @@ class TestTaylor:
                 poly = taylor_at(Dyadic(q, n), n + 4)
                 assert poly.degree == n
 
-    def test_evaluation(self):
-        poly = taylor_at(Dyadic(-1, 1), 1)
-        assert poly(Fraction(0)) == Fraction(1, 2)
-        assert poly(Fraction(1, 8)) == Fraction(1, 2) + Fraction(2) * Fraction(1, 8)
-
     def test_no_factorial_above_the_degree(self):
         t = Dyadic(1, 3)
         taylor_at(t, 3)  # builds the level plans, whose weights use factorial too

@@ -25,7 +25,6 @@ from fabius.coefficients import CoefficientTable
 from fabius.core import Dyadic
 from fabius.exact import taylor_at
 from fabius.selftest import CriterionResult
-from fabius.spectral import fourier_coefficients
 from fabius.stochastic import McEstimate
 
 LAYERS = ["fabius.spectral", "fabius.stochastic", "fabius.approximants"]
@@ -201,7 +200,6 @@ def test_star_import_and_unknown_names():
 RECORDS = [
     (taylor_at(Dyadic(1, 2), 2), "coeffs"),
     (CoefficientTable.build(2), "c"),
-    (fourier_coefficients(K=2), "a"),
     (McEstimate(x=-0.5, samples=1, depth=8, estimate=1.0, stderr=0.0, seed=0), "x"),
     (step_function(2), "values"),
     (CriterionResult(1, "name", True, "detail", 0.0), "passed"),
