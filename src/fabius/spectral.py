@@ -44,12 +44,20 @@ DEFAULT_FOURIER_K = 64
 
 
 def transform_product(x: float, m_max: int = DEFAULT_M_MAX) -> float:
-    """Truncated cosine-power product for the transform at real x."""
+    """Truncated cosine-power product for the transform at real x.
+
+    Once |pi x / 2^m| < 2^-27, cos rounds to exactly 1.0 (1 - y^2/2 is
+    within 2^-55 of 1), there and at every later m, so the loop stops
+    with the same result.
+    """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     out = 1.0
     for m in range(1, m_max + 1):
-        out *= math.cos(math.pi * x / (1 << m)) ** m
+        y = math.pi * x / (1 << m)
+        if abs(y) < 2.0**-27:
+            break
+        out *= math.cos(y) ** m
     return out
 
 

@@ -14,20 +14,25 @@ stripe and a plain thread each of the others.  numpy releases the GIL
 inside the draws and the array arithmetic, and the integer hit counts add
 up to the same total in any order.
 
-A block runs in two phases and counts exactly the hits of summing all
+A block runs chunk by chunk: each chunk of ``_CHUNK`` samples goes
+through all of its terms before the next chunk starts, so a worker holds
+one chunk of running sums and one chunk of draws, whatever the block
+size.  One Philox keyed by (seed, block) serves the whole block: the
+double of term j of sample s is word (j - 1) * count + s of its stream,
+and ``_seek`` moves the Philox to any word before a draw.
+
+A chunk runs in two phases and counts exactly the hits of summing all
 ``depth`` terms for every sample.  Phase 1 draws whole terms, one at a
-time, into a reused buffer of ``_CHUNK`` doubles, so a worker holds its
-running sums and one chunk, not a second block-sized temporary.  After
-each term k it looks for the samples whose outcome is still open.  Every
-later term is >= 0, and a rounded add of a value >= 0 never lowers the
-running total, so a total above x + 1 is already a miss.  The later terms
-add less than 2^-k, and their rounding errors less than 2^-46, so a total
-at most x + 1 - ``_margin(k)`` is already a hit.  Once only a handful of
-samples are open, phase 2 finishes each alone: it reads the double of
-term j of sample s straight from its Philox counter (stream position
-(j - 1) * count + s) and adds it as the block would, until the sample is
-decided.  Each scaled term u * 2^-j is exact, so the scalar sums equal the
-array sums bit for bit.
+time, into a reused buffer.  After each term k it looks for the samples
+whose outcome is still open.  Every later term is >= 0, and a rounded
+add of a value >= 0 never lowers the running total, so a total above
+x + 1 is already a miss.  The later terms add less than 2^-k, and their
+rounding errors less than 2^-46, so a total at most x + 1 - ``_margin(k)``
+is already a hit.  Once only a handful of the chunk's samples are open,
+phase 2 finishes each alone: it reads the double of term j of sample s
+from the same Philox at its stream position and adds it as the chunk
+would, until the sample is decided.  Each scaled term u * 2^-j is exact,
+so the scalar sums equal the array sums bit for bit.
 
 numpy is imported on the first block drawn, not with this module, so the
 exact commands that import the package never load it.
@@ -46,24 +51,28 @@ __all__ = ["BLOCK_SIZE", "McEstimate", "mc_phi"]
 # change which block a sample belongs to.
 BLOCK_SIZE = 1 << 16
 
-# Doubles drawn per call within a block; consecutive draws continue one
-# Philox stream, so the chunking never changes which double a sample gets.
+# Samples a block works on at a time.  Every draw starts at its own
+# stream position, so the chunking never changes which double a sample
+# gets.
 _CHUNK = 1 << 14
 
 # Deepest series truncation accepted: a double-precision sum gains nothing
 # beyond about 53 terms.
 MAX_DEPTH = 64
 
-# First term after which a block looks for open samples, and the switch to
-# phase 2: once at most count >> _SCALAR_SHIFT samples are open, each is
-# finished alone.  One scalar draw costs about 13 us and one whole term of
-# a full block 0.4-0.6 ms; another term halves the open samples, which then
-# need about 1.4 draws each, so it stops paying below about 32 of them.
+# First term after which a chunk looks for open samples, and the switch to
+# phase 2: once at most n >> _SCALAR_SHIFT of a chunk's n samples are open,
+# each is finished alone.  One scalar draw costs about 3 us and one whole
+# term of a full chunk about 0.15 ms; another term halves the open samples,
+# which then need about 1.4 draws each.  Phase 2 holds the GIL that the
+# array terms release, so the switch sits well below the one-thread
+# break-even: on two CPUs, n >> 10 and n >> 9 timed no faster and n >> 8
+# slower.
 _FIRST_CHECK = 8
 _SCALAR_SHIFT = 11
 
-# Largest run accepted: 10^8 samples take about 9 s on two CPUs at any
-# depth, and the standard error is already below 10^-4.
+# Largest run accepted: 10^8 samples take about 12 s on two CPUs at depth
+# 40 or 64, and the standard error is already below 10^-4.
 MAX_SAMPLES = 10**8
 
 
@@ -88,48 +97,70 @@ class McEstimate(NamedTuple):
         return 2.0 ** -self.depth
 
 
-def _stream_double(key, position: int) -> float:
-    """The double ``Generator(Philox(key=key)).random`` draws at ``position``.
+def _seek(bits, state, position: int) -> None:
+    """Move the Philox ``bits`` so that the next word it yields is ``position``.
 
-    Philox yields four 64-bit words per counter step, and its first step
-    uses counter 1, so word p comes from counter p // 4 + 1; ``random``
-    keeps the top 53 bits of each word.
+    ``state`` is the state dict ``bits`` had before its first draw: its
+    key, counter 0 and an empty buffer.  Philox yields four 64-bit words
+    per counter step, and its first step uses counter 1, so word p comes
+    from counter p // 4 + 1: load ``state`` with its counter set to p // 4,
+    then skip p % 4 words.  Reading ``bits.state`` anew would cost about as
+    much as the rest of the seek.
     """
-    import numpy as np
+    state["state"]["counter"][0] = position // 4
+    bits.state = state
+    if position % 4:
+        bits.random_raw(position % 4)
 
-    bits = np.random.Philox(counter=position // 4, key=key)
-    return int(bits.random_raw(position % 4 + 1)[-1] >> 11) * 2.0**-53
+
+def _stream_double(bits, state, position: int) -> float:
+    """The double ``Generator(bits).random`` draws at stream ``position``.
+
+    ``random`` keeps the top 53 bits of each word.
+    """
+    _seek(bits, state, position)
+    return (bits.random_raw() >> 11) * 2.0**-53
 
 
 def _block_hits(x: float, seed: int, block_index: int, count: int, depth: int) -> int:
     """Hits within one self-contained generator block."""
     import numpy as np
 
-    key = np.array([seed, block_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    bits = np.random.Philox(key=np.array([seed, block_index], dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    state = bits.state
     thr = x + 1.0
-    total = np.zeros(count)
-    buffer = np.empty(min(count, _CHUNK))
-    weight = 0.5
-    for k in range(1, depth + 1):
-        for start in range(0, count, _CHUNK):
-            part = buffer[: min(_CHUNK, count - start)]
+    totals = np.empty(min(count, _CHUNK))
+    buffer = np.empty_like(totals)
+    hits = 0
+    for start in range(0, count, _CHUNK):
+        total = totals[: min(_CHUNK, count - start)]
+        part = buffer[: len(total)]
+        total[:] = 0.0
+        weight = 0.5
+        for k in range(1, depth + 1):
+            _seek(bits, state, (k - 1) * count + start)
             rng.random(out=part)
             part *= weight
-            total[start : start + len(part)] += part
-        weight *= 0.5
-        if _FIRST_CHECK <= k < depth:
-            # above thr: a miss, since later terms never lower a total;
-            # at most low: a hit, since they add less than _margin(k)
-            low = thr - _margin(k)
-            open_ = (total > low) & (total <= thr)
-            if np.count_nonzero(open_) <= count >> _SCALAR_SHIFT:
-                hits = int(np.count_nonzero(total <= low))
-                for s in np.flatnonzero(open_).tolist():
-                    hits += _finish(float(total[s]), thr, key, s, count, k, depth)
-                return hits
-    # boundary counted as a hit (closed inequality); measure-zero event
-    return int(np.count_nonzero(total <= thr))
+            total += part
+            weight *= 0.5
+            if _FIRST_CHECK <= k < depth:
+                # above thr: a miss, since later terms never lower a total;
+                # at most low: a hit, since they add less than _margin(k)
+                low = thr - _margin(k)
+                open_ = (total > low) & (total <= thr)
+                if np.count_nonzero(open_) <= len(total) >> _SCALAR_SHIFT:
+                    hits += int(np.count_nonzero(total <= low))
+                    for s in np.flatnonzero(open_).tolist():
+                        sample = start + s
+                        hits += _finish(
+                            float(total[s]), thr, bits, state, sample, count, k, depth
+                        )
+                    break
+        else:
+            # boundary counted as a hit (closed inequality); measure-zero event
+            hits += int(np.count_nonzero(total <= thr))
+    return hits
 
 
 def _margin(k: int) -> float:
@@ -143,12 +174,12 @@ def _margin(k: int) -> float:
 
 
 def _finish(
-    total: float, thr: float, key, s: int, count: int, k: int, depth: int
+    total: float, thr: float, bits, state, s: int, count: int, k: int, depth: int
 ) -> int:
     """1 if sample s, whose running total after term k is ``total``, hits."""
     for j in range(k + 1, depth + 1):
         # u * 2^-j is exact, so this add rounds as the array add does
-        total += _stream_double(key, (j - 1) * count + s) * 2.0**-j
+        total += _stream_double(bits, state, (j - 1) * count + s) * 2.0**-j
         if total > thr or total <= thr - _margin(j):
             break
     return int(total <= thr)

@@ -608,6 +608,45 @@ class TestSelftest:
         assert "FAIL criterion 2" in out
 
 
+# `mc` stdout of seeded runs, recorded as literals
+MC_BYTES = [
+    (
+        "-1 --samples 1 --depth 8",
+        '{"x": -1.0, "estimate": 0.0, "stderr": 0.0, '
+        '"bias_bound": 0.00390625, "seed": 0}',
+    ),
+    (
+        "-0.75 --samples 197385 --depth 40 --seed 7",
+        '{"x": -0.75, "estimate": 0.06961521898827165, '
+        '"stderr": 0.0005728307493259589, '
+        '"bias_bound": 9.094947017729282e-13, "seed": 7}',
+    ),
+    (
+        "-0.3125 --samples 1000000 --depth 64 --seed 3",
+        '{"x": -0.3125, "estimate": 0.852244, '
+        '"stderr": 0.0003548579496981856, '
+        '"bias_bound": 5.421010862427522e-20, "seed": 3}',
+    ),
+    (
+        "0 --samples 197385 --depth 64 --seed 11",
+        '{"x": 0.0, "estimate": 1.0, "stderr": 0.0, '
+        '"bias_bound": 5.421010862427522e-20, "seed": 11}',
+    ),
+    (
+        "-0.3125 --samples 197385 --depth 8 --seed 18446744073709551615",
+        '{"x": -0.3125, "estimate": 0.855708387162145, '
+        '"stderr": 0.0007909087227092969, "bias_bound": 0.00390625, '
+        '"seed": 18446744073709551615}',
+    ),
+    (
+        "-0.75 --samples 1000000 --depth 40",
+        '{"x": -0.75, "estimate": 0.069611, '
+        '"stderr": 0.0002544902919150355, '
+        '"bias_bound": 9.094947017729282e-13, "seed": 0}',
+    ),
+]
+
+
 class TestMc:
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(
@@ -618,6 +657,16 @@ class TestMc:
         assert set(record) == {"x", "estimate", "stderr", "bias_bound", "seed"}
         assert record["seed"] == 5
         assert abs(record["estimate"] - 0.5) <= 8 * record["stderr"]
+
+    @pytest.mark.parametrize("argv,line", MC_BYTES, ids=[a for a, _ in MC_BYTES])
+    def test_bytes(self, capsys, argv, line):
+        # recorded stdout: a change to which doubles a sample adds, or in
+        # what order, shows here; 3 * 65536 + 777 samples end in a short
+        # block whose term offsets are not multiples of Philox's 4 words
+        _, out, _ = run_cli(capsys, "mc", *argv.split())
+        assert out == line + "\n"
+        _, out, _ = run_cli(capsys, "--json", "mc", *argv.split())
+        assert out == f'{{"mode": "mc", "payload": {line}}}\n'
 
     def test_usage_error_on_bad_x(self, capsys):
         code, _, err = run_cli(capsys, "mc", "0.5", "--samples", "10")

@@ -32,6 +32,22 @@ class TestTransformProduct:
         # the m = 1 factor cos(pi/2) is zero up to rounding
         assert abs(transform_product(1.0)) <= 1e-15
 
+    @pytest.mark.parametrize("m_max", [1, 60, 1023])
+    def test_early_stop_matches_full_product(self, m_max):
+        # every later factor is exactly 1.0 once |pi x / 2^m| < 2^-27; a stop
+        # at the first factor equal to 1.0 would be wrong (x = 4, m = 1)
+        def full(x):
+            out = 1.0
+            for m in range(1, m_max + 1):
+                out *= math.cos(math.pi * x / (1 << m)) ** m
+            return out
+
+        xs = {(2 * k + 1) / 2 for k in range(1024)}
+        xs |= {m / a for a in (0.5, 0.75, 1.0) for m in range(513)}
+        xs |= {2.0**j for j in range(-8, 10)}
+        for x in sorted(xs):
+            assert transform_product(x, m_max) == full(x), x
+
     def test_functional_equation(self):
         for x in (0.1, 0.5, 1.7, 3.3):
             sinc = math.sin(math.pi * x) / (math.pi * x)

@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -186,14 +187,13 @@ class TestTwoPhaseKernel:
     def test_phase_two_is_live(self, monkeypatch, x):
         # scalar draws must run, and only for a small share of the block
         scalar_draws = []
-        philox = np.random.Philox
+        stream_double = stochastic._stream_double
 
-        def counting_philox(*args, **kwargs):
-            if "counter" in kwargs:
-                scalar_draws.append(kwargs["counter"])
-            return philox(*args, **kwargs)
+        def counting_stream_double(bits, state, position):
+            scalar_draws.append(position)
+            return stream_double(bits, state, position)
 
-        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        monkeypatch.setattr(stochastic, "_stream_double", counting_stream_double)
         hits = _block_hits(x, SEED, 6, BLOCK_SIZE, 53)
         monkeypatch.undo()
         assert 0 < len(scalar_draws) < BLOCK_SIZE // 256
@@ -202,18 +202,33 @@ class TestTwoPhaseKernel:
     @pytest.mark.parametrize("seed,block", [(SEED, 0), (2**64 - 1, 15)])
     def test_stream_double_reads_the_generator_stream(self, seed, block):
         # if numpy changed Philox's counter or its word-to-double mapping,
-        # phase 2 would read other doubles than phase 1 draws
+        # phase 2 would read other doubles than phase 1 draws; one Philox
+        # reads positions out of order and backwards, so each seek must be
+        # absolute
         key = np.array([seed, block], dtype=np.uint64)
         chunk = stochastic._CHUNK
         positions = [
-            *(0, 1, 2, 3, 4, 5, 7, 8),
-            *(chunk - 1, chunk, BLOCK_SIZE - 1, BLOCK_SIZE, 3 * BLOCK_SIZE + 5),
+            *(5, 3, 0, 8, 1, 7, 2, 4, 4),
+            *(BLOCK_SIZE, chunk - 1, 3 * BLOCK_SIZE + 5, chunk, BLOCK_SIZE - 1, 6),
         ]
         stream = np.random.Generator(np.random.Philox(key=key)).random(
             max(positions) + 1
         )
+        bits = np.random.Philox(key=key)
+        state = bits.state
         for p in positions:
-            assert stochastic._stream_double(key, p) == stream[p]
+            assert stochastic._stream_double(bits, state, p) == stream[p]
+
+    def test_block_holds_one_chunk(self):
+        # a worker keeps one chunk of running sums and one of draws, never
+        # an array the size of the block
+        tracemalloc.start()
+        try:
+            _block_hits(-0.5, SEED, 6, BLOCK_SIZE, 53)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * stochastic._CHUNK * 8
 
 
 class TestBoundaries:
