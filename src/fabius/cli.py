@@ -52,9 +52,9 @@ INTEGRITY_ERROR = 2
 # n needs c up to n/2, about 1 s at n = 256 and 8 s at n = 428.
 MAX_LEVEL = 128
 # approx M has degree 2^(M+1) - M - 2, and each further M costs about 4x;
-# M = 16 takes about 1.5 s.
+# M = 16 takes about 1 s.
 MAX_APPROX_LEVEL = 16
-# eval-float --grid L prints 2^(L+1) + 1 rows; L = 14 takes about 1 s.  It
+# eval-float --grid L prints 2^(L+1) + 1 rows; L = 14 takes about 0.65 s.  It
 # also caps the level scan of eval and table, whose cost doubles per level.
 MAX_GRID_LEVEL = 14
 # coeffs G 300 takes about 6 s and coeffs c 300 about 65 s.
@@ -64,7 +64,7 @@ MAX_COEFFS = 300
 # K = 1024 about 5 s.
 MAX_FOURIER_K = 1024
 # Product truncation m_max: 2^m_max must convert to a float, so 1023 is the
-# largest; fourier-coeffs 1024 --m-max 1023 takes about 0.4 s.
+# largest; fourier-coeffs 1024 --m-max 1023 takes about 0.15 s.
 MAX_M_MAX = 1023
 
 
@@ -385,21 +385,7 @@ def _cmd_selftest(args) -> int:
     from .selftest import run_all
 
     results = run_all(emit=(lambda line: None) if args.json else print)
-    _emit(
-        args,
-        "selftest",
-        lambda: [
-            {
-                "index": r.index,
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "elapsed_s": r.elapsed,
-            }
-            for r in results
-        ],
-        [],
-    )
+    _emit(args, "selftest", lambda: [r._asdict() for r in results], [])
     return 0 if all(r.passed for r in results) else INTEGRITY_ERROR
 
 

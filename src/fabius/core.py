@@ -3,11 +3,12 @@
 Dyadic rationals q/2^n form the evaluation grid of the whole package.  They
 are kept as an explicit (numerator, exponent) pair, distinct from general
 rationals, so that level-indexed algorithms never have to re-derive n from a
-denominator.  General exact rationals are plain ``fractions.Fraction``
-values, which already guarantee the canonical form this package relies on
-(positive denominator, fully reduced).  The binary helpers are the 2-adic
-valuation, which the pole form of the transform uses, and the Thue-Morse
-sign of the exact evaluator's blocks and of the Fourier coefficients.
+denominator; their comparisons and arithmetic go through the equal Fraction.
+General exact rationals are plain ``fractions.Fraction`` values, which
+already guarantee the canonical form this package relies on (positive
+denominator, fully reduced).  The binary helpers are the 2-adic valuation,
+which the pole form of the transform uses, and the Thue-Morse sign of the
+exact evaluator's blocks and of the Fourier coefficients.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ class Dyadic:
     """An exact dyadic rational num / 2^exp in canonical form.
 
     Canonical means exp == 0 or num is odd; the constructor normalizes, so
-    two equal values always have identical (num, exp) pairs.  Instances are
-    immutable and safe to share between threads.
+    two equal values always have identical (num, exp) pairs.  Comparisons,
+    the hash and arithmetic go through the equal Fraction; + and * take
+    Dyadic or int operands.  Instances are immutable and thread-safe.
     """
 
     __slots__ = ("_num", "_exp")
@@ -84,8 +86,10 @@ class Dyadic:
         return self._exp
 
     @classmethod
-    def from_fraction(cls, value: Fraction | int) -> Dyadic:
-        """Exact conversion; rejects rationals whose denominator is not a power of two."""
+    def from_fraction(cls, value: Dyadic | Fraction | int) -> Dyadic:
+        """Exact conversion, a Dyadic returned as it is; rejects non-dyadic rationals."""
+        if isinstance(value, Dyadic):
+            return value
         value = Fraction(value)
         den = value.denominator
         if den & (den - 1):
@@ -121,23 +125,13 @@ class Dyadic:
         return self._num != 0
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Dyadic):
-            return self._num == other._num and self._exp == other._exp
-        if isinstance(other, int):
-            return self._exp == 0 and self._num == other
-        if isinstance(other, Fraction):
-            return self.to_fraction() == other
+        if isinstance(other, (Dyadic, int, Fraction)):
+            return self.to_fraction() == _rational(other)
         return NotImplemented
 
     def __lt__(self, other: Dyadic | int | Fraction) -> bool:
-        if isinstance(other, Dyadic):
-            if self._exp >= other._exp:
-                return self._num < other._num << (self._exp - other._exp)
-            return self._num << (other._exp - self._exp) < other._num
-        if isinstance(other, int):
-            return self._num < other << self._exp
-        if isinstance(other, Fraction):
-            return self.to_fraction() < other
+        if isinstance(other, (Dyadic, int, Fraction)):
+            return self.to_fraction() < _rational(other)
         return NotImplemented
 
     def __neg__(self) -> Dyadic:
@@ -147,16 +141,8 @@ class Dyadic:
         return Dyadic(abs(self._num), self._exp)
 
     def __add__(self, other: Dyadic | int) -> Dyadic:
-        if isinstance(other, int):
-            return Dyadic(self._num + (other << self._exp), self._exp)
-        if isinstance(other, Dyadic):
-            if self._exp >= other._exp:
-                return Dyadic(
-                    self._num + (other._num << (self._exp - other._exp)), self._exp
-                )
-            return Dyadic(
-                (self._num << (other._exp - self._exp)) + other._num, other._exp
-            )
+        if isinstance(other, (Dyadic, int)):
+            return Dyadic.from_fraction(self.to_fraction() + _rational(other))
         return NotImplemented
 
     __radd__ = __add__
@@ -168,10 +154,8 @@ class Dyadic:
         return (-self) + other
 
     def __mul__(self, other: Dyadic | int) -> Dyadic:
-        if isinstance(other, int):
-            return Dyadic(self._num * other, self._exp)
-        if isinstance(other, Dyadic):
-            return Dyadic(self._num * other._num, self._exp + other._exp)
+        if isinstance(other, (Dyadic, int)):
+            return Dyadic.from_fraction(self.to_fraction() * _rational(other))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -184,3 +168,8 @@ class Dyadic:
 
     def __float__(self) -> float:
         return self._num / (1 << self._exp)
+
+
+def _rational(x: Dyadic | int | Fraction) -> int | Fraction:
+    """The Fraction a Dyadic equals; any other operand as it is."""
+    return x.to_fraction() if isinstance(x, Dyadic) else x

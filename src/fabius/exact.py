@@ -39,7 +39,6 @@ from .coefficients import series_coefficients
 from .core import Dyadic, thue_morse_sign
 
 __all__ = [
-    "as_dyadic",
     "phi_exact",
     "phi_exact_raw",
     "level_values",
@@ -49,13 +48,6 @@ __all__ = [
     "TaylorPolynomial",
     "level_denominator_bound",
 ]
-
-
-def as_dyadic(t: Dyadic | int | Fraction) -> Dyadic:
-    """Coerce exact input to a canonical Dyadic."""
-    if isinstance(t, Dyadic):
-        return t
-    return Dyadic.from_fraction(Fraction(t))
 
 
 def _weights(n: int) -> list[Fraction]:
@@ -138,7 +130,7 @@ def _phi_folded(q: int, n: int) -> Fraction:
 
 def phi_exact(t: Dyadic | int | Fraction) -> Fraction:
     """Exact rational value of phi at a dyadic point; 0 outside (-1, 1)."""
-    t = as_dyadic(t)
+    t = Dyadic.from_fraction(t)
     q, n = abs(t.num), t.exp  # evenness fold
     if q >= (1 << n):
         return Fraction(0)
@@ -176,7 +168,7 @@ def theta_exact(t: Dyadic | int | Fraction) -> Fraction:
     nonzero since the k-th translate lives on (2k, 2k+2).  Zero for t <= 0
     and at even integers.
     """
-    t = as_dyadic(t)
+    t = Dyadic.from_fraction(t)
     if t.num <= 0:
         return Fraction(0)
     k = t.num >> (t.exp + 1)
@@ -194,7 +186,7 @@ def phi_derivative(k: int, t: Dyadic | int | Fraction) -> Fraction:
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    t = as_dyadic(t)
+    t = Dyadic.from_fraction(t)
     # above order t.exp, 2^k t + 2^k is an even integer, where theta vanishes;
     # returning first skips the k-bit shifts and 2^C(k+1,2)
     if k > t.exp or abs(t.num) > (1 << t.exp):
@@ -234,7 +226,7 @@ def taylor_at(t: Dyadic | int | Fraction, max_order: int) -> TaylorPolynomial:
         raise ValueError("max_order must be >= 0")
     if max_order > MAX_TAYLOR_ORDER:
         raise ValueError(f"taylor order must be at most {MAX_TAYLOR_ORDER}")
-    t = as_dyadic(t)
+    t = Dyadic.from_fraction(t)
     if abs(t.num) > (1 << t.exp):
         raise ValueError("Taylor centers must lie in [-1, 1]")
     # for k > t.exp, 2^k t + 2^k is an even integer, where theta vanishes

@@ -1,5 +1,6 @@
 """Digit helpers and the dyadic rational type."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from fabius.core import (
     thue_morse_sign,
     val2,
 )
+from fabius.exact import phi_derivative, phi_exact, taylor_at, theta_exact
 
 
 def brute_digit_sum(k: int) -> int:
@@ -142,6 +144,65 @@ class TestDyadic:
     def test_mul_pow2(self):
         assert Dyadic(3, 2).mul_pow2(2) == 3
         assert Dyadic(3, 0).mul_pow2(-2) == Dyadic(3, 2)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    @given(
+        st.integers(min_value=-(2**20), max_value=2**20),
+        st.integers(min_value=0, max_value=20),
+        st.integers(min_value=-(2**20), max_value=2**20),
+        st.integers(min_value=0, max_value=20),
+    )
+    def test_arithmetic_returns_canonical_dyadic(self, op, a, ea, b, eb):
+        x, y = Dyadic(a, ea), Dyadic(b, eb)
+        # Dyadic with Dyadic, Dyadic with int and int with Dyadic
+        for left, right, value in (
+            (x, y, op(x.to_fraction(), y.to_fraction())),
+            (x, b, op(x.to_fraction(), b)),
+            (a, y, op(a, y.to_fraction())),
+        ):
+            result = op(left, right)
+            assert type(result) is Dyadic
+            # canonical: a reduced Fraction with a power-of-two denominator
+            pair = (value.numerator, value.denominator.bit_length() - 1)
+            assert (result.num, result.exp) == pair
+
+    def test_float_is_no_operand(self):
+        assert (Dyadic(1, 1) == 0.5) is False
+        assert (Dyadic(1, 1) != 0.5) is True
+        with pytest.raises(TypeError):
+            Dyadic(1, 1) < 0.5
+        with pytest.raises(TypeError):
+            Dyadic(1, 1) + 0.5
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_fraction_is_no_arithmetic_operand(self, op):
+        with pytest.raises(TypeError):
+            op(Dyadic(1, 1), Fraction(1, 3))
+        with pytest.raises(TypeError):
+            op(Fraction(1, 3), Dyadic(1, 1))
+
+    def test_fraction_compares(self):
+        assert Dyadic(1, 1) == Fraction(1, 2)
+        assert Dyadic(1, 1) < Fraction(2, 3) <= Dyadic(3, 2)
+
+    def test_from_fraction_returns_a_dyadic_as_it_is(self):
+        d = Dyadic(-3, 4)
+        assert Dyadic.from_fraction(d) is d
+
+    @pytest.mark.parametrize(
+        "num,exp", [(0, 0), (1, 0), (-1, 0), (3, 0), (1, 1), (-3, 2), (5, 3), (-13, 5)]
+    )
+    def test_exact_paths_take_every_point_type(self, num, exp):
+        d = Dyadic(num, exp)
+        points = [d, d.to_fraction()] + ([num] if exp == 0 else [])
+        for f in (
+            phi_exact,
+            theta_exact,
+            lambda t: phi_derivative(2, t),
+            lambda t: taylor_at(t, 4) if abs(t) <= 1 else None,
+        ):
+            values = [f(t) for t in points]
+            assert values == [values[0]] * len(points)
 
 
 class TestRationalSerialization:
