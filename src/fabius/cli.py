@@ -3,8 +3,8 @@
 Line-oriented plain text by default; ``--json`` switches every command to a
 single JSON object ``{"mode": ..., "payload": ...}`` in which exact numbers
 are always strings.  Floats print with 17 significant digits so they
-round-trip.  Exit codes: 0 success, 1 usage error, 2 internal integrity
-violation (or selftest failure).
+round-trip.  Exit codes: 0 success, 1 usage error (or a reader that closed
+stdout early), 2 internal integrity violation (or selftest failure).
 
 Environment defaults (flags win): FABIUS_M_MAX for the product truncation,
 FABIUS_FOURIER_K for the synthesis length, FABIUS_TABLE_MAX for the largest
@@ -46,10 +46,11 @@ __all__ = ["main", "render_table"]
 USAGE_ERROR = 1
 INTEGRITY_ERROR = 2
 
-# Deepest canonical level eval, deriv and taylor accept; full-order Taylor
-# data grows about like n^5.5, so 128 already takes seconds.  The level as
-# given may be at most twice that: eval's denominator bound at a raw level
-# n needs c up to n/2, about 1 s at n = 256 and 8 s at n = 428.
+# Deepest canonical level eval, deriv and taylor accept; a full-order Taylor
+# vector costs one level plan, about n^4, and taylor (2^127 - 1) 128 128 took
+# about 1 s.  The level as given may be at most twice that: eval's denominator
+# bound at a raw level n needs c up to n/2, about 1 s at n = 256 and 8 s at
+# n = 428.
 MAX_LEVEL = 128
 # approx M has degree 2^(M+1) - M - 2, and each further M costs about 4x;
 # M = 16 takes about 1 s.
@@ -463,7 +464,18 @@ def main(argv=None) -> int:
         # parsing keeps the limit; only computed results may be long
         args = build_parser().parse_args(argv)
         with _no_int_str_limit():
-            return args.func(args)
+            status = args.func(args)
+        sys.stdout.flush()  # a closed pipe then raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout (fabius table 12 | head -1): point it at
+        # devnull so that the interpreter's final flush stays quiet
+        try:
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        except OSError:  # an in-process caller's stdout may have no descriptor
+            pass
+        return 1  # the status the uncaught exception gave
     except SystemExit as exc:  # argparse has printed its message
         return exc.code
     except ValueError as exc:  # also a bad FABIUS_* value

@@ -567,6 +567,29 @@ class TestConsoleScript:
         )
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("argv", [["table", "12"], ["taylor", "1", "3", "100000"]])
+    def test_closed_pipe_exits_quietly(self, argv):
+        # like fabius table 12 | head -1: both outputs outgrow the pipe buffer,
+        # so the write after the reader closes fails; no traceback, status 1
+        import os
+        import subprocess
+
+        import fabius
+
+        src = os.path.dirname(os.path.dirname(fabius.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fabius.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert stderr == b""
+        assert proc.returncode == 1
+
 
 class TestSelftest:
     def _fake(self, index, passed):

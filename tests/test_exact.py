@@ -194,6 +194,51 @@ class TestBlockEvaluator:
         for q, n in self._deep_points():
             assert taylor_at(Dyadic(q, n), n + 2).degree == n
 
+    def test_blocks_are_an_appell_sequence(self):
+        # B_m of level n - 1 is 2^n d/dy B_m of level n, each over its own D:
+        # the identity that reads every derivative off one level plan
+        for n in range(1, 41):
+            d_low, low = _level_plan(n - 1)
+            d, blocks = _level_plan(n)
+            for m in range(n):
+                degree = n - m
+                derived = [c * (degree - i) for i, c in enumerate(blocks[m][:-1])]
+                assert [a * d for a in low[m]] == [(c * d_low) << n for c in derived], (n, m)
+
+    @staticmethod
+    def _cascade_taylor(t, order):
+        # phi^(k)(t)/k! = 2^C(k+1,2) theta(2^k t + 2^k)/k!: a route through
+        # coarser levels that shares no walk with taylor_at
+        return [
+            (1 << k * (k + 1) // 2) * theta_exact(t.mul_pow2(k) + (1 << k)) / factorial(k)
+            for k in range(order + 1)
+        ]
+
+    def _assert_taylor_matches_cascade(self, t, order):
+        expected = self._cascade_taylor(t, order)
+        assert list(taylor_at(t, order).coeffs) == expected, t
+        derivatives = [phi_derivative(k, t) / factorial(k) for k in range(order + 1)]
+        assert derivatives == expected, t
+
+    @pytest.mark.parametrize("levels", [range(9, 41), range(41, 65)])
+    def test_taylor_matches_cascade_at_deep_levels(self, levels):
+        # full order up to level 40, orders <= 3 above; level n draws its odd q
+        # from quarter n % 4 of (-1, 1), so both signs and both halves recur
+        rng = random.Random(2209)
+        for n in levels:
+            low = (n % 4 - 2) << (n - 1)
+            t = Dyadic(rng.randrange(low, low + (1 << (n - 1))) | 1, n)
+            self._assert_taylor_matches_cascade(t, n if n <= 40 else 3)
+
+    def test_taylor_matches_cascade_at_level_128(self):
+        for q in (1, 3, (1 << 127) - 1):
+            self._assert_taylor_matches_cascade(Dyadic(q, 128), 2)
+
+    def test_taylor_vector_builds_one_plan(self):
+        _level_plan.cache_clear()
+        taylor_at(Dyadic(5, 20), 20)
+        assert _level_plan.cache_info().currsize == 1
+
     def test_near_one_matches_moment_route(self):
         # phi(1 - 2^-n) from the moment recurrence, independent of the blocks
         for n in [*range(20, 41), 64, 128]:
