@@ -12,8 +12,7 @@ phi(1 - 2^-(2k+1)) / (n-2k)! = C(n, 2k) c_k / (n! 2^C(n+1,2)) in the series
 coefficients c.  :func:`phi_exact_raw` evaluates that sum literally, in
 O(2^n * n) steps, and is kept as a differential-testing twin.
 
-:func:`phi_exact` folds the argument by evenness and by the reflection
-phi(t) = 1 - phi(1-t) into [0, 1/2] and evaluates the sum in blocks.  The
+:func:`phi_exact` evaluates the sum in blocks at every q in (-2^n, 2^n).  The
 range of h splits along the set bits of its upper limit into at most n+1
 aligned blocks [a, a + 2^m), on which the sign factors as (-1)^s(a)
 (-1)^s(h - a).  A block's signed sum of the weighted powers (y - 2h)^(n-2k)
@@ -22,7 +21,8 @@ block gives B_{m+1}(y) = B_m(y) - B_m(y - 2^(m+1)): n Taylor shifts and
 differences build a level's O(n^3) polynomials, B_m of degree n - m
 (Prouhet), and they are the only state kept.  A point then costs one
 synthetic division per block and a single Fraction, O(n^2) bigint steps;
-:func:`level_values` evaluates q <= 2^(n-1) on the level's own plan.
+:func:`level_values` evaluates q <= 2^(n-1) on the level's own plan and
+fills the rest by the reflection phi(t) = 1 - phi(1-t).
 
 The plan holds every derivative: A_n(y) = sum_k C(n, 2k) c_k y^(n-2k) is
 an Appell sequence, so with Prouhet phi^(k)(q/2^n)/k! is 2^(k(n+1)) times
@@ -61,10 +61,10 @@ def _weights(n: int) -> list[Fraction]:
 def phi_exact_raw(q: int, n: int) -> Fraction:
     """Literal double-sum evaluation of phi(q/2^n), |q| < 2^n (|q| <= 1 at n = 0).
 
-    No evenness or reflection folding and no memoization: this is the debug
-    twin used to differential-test the optimized path.  q may be negative or
-    even.  At q = -2^n, which only n = 0 admits, the sum over h is empty and
-    yields phi(-1) = 0.
+    No blocks and no memoization: this is the debug twin used to
+    differential-test the block walk.  q may be negative or even.  At
+    q = -2^n, which only n = 0 admits, the sum over h is empty and yields
+    phi(-1) = 0.
     """
     if n < 0:
         raise ValueError("level n must be >= 0")
@@ -82,8 +82,8 @@ def phi_exact_raw(q: int, n: int) -> Fraction:
     return total
 
 
-# selftest criterion 4 (levels 0..10) and the session workload (10..16)
-# revisit levels; a level grid and a Taylor vector build one plan each
+# selftest criterion 4 (level 10) and the session workload (13..16) revisit
+# levels; a level grid and a Taylor vector build one plan each
 @lru_cache(maxsize=12)
 def _level_plan(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Common denominator D of level n and one integer polynomial per block size.
@@ -110,8 +110,8 @@ def _level_plan(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return d, tuple(blocks)
 
 
-def _taylor_folded(q: int, n: int, order: int) -> list[Fraction]:
-    # 0 <= q <= 2^(n-1), of any parity, and order <= n; blocks as in the module doc
+def _taylor_walk(q: int, n: int, order: int) -> list[Fraction]:
+    # |q| < 2^n, of any parity, and order <= n; blocks as in the module doc
     d, blocks = _level_plan(n)
     top = q + (1 << n)
     totals = [0] * (order + 1)
@@ -130,18 +130,11 @@ def _taylor_folded(q: int, n: int, order: int) -> list[Fraction]:
 
 
 def _taylor(t: Dyadic, order: int) -> list[Fraction]:
-    # phi^(k)(t)/k!, k <= order.  Folding t into [0, 1/2] by evenness flips
-    # odd k of t < 0, and by reflection, even k >= 1.
-    q, n = abs(t.num), t.exp
-    if q >= (1 << n):
+    # phi^(k)(t)/k!, k <= order: zero outside (-1, 1) and above order t.exp
+    if abs(t.num) >= (1 << t.exp):
         return [Fraction(0)] * (order + 1)
-    reflect = 2 * q > (1 << n)
-    coeffs = _taylor_folded((1 << n) - q if reflect else q, n, min(order, n))
-    if reflect:
-        coeffs[0] = 1 - coeffs[0]
-    flips = (reflect, t.num < 0)
-    coeffs = [-c if k and flips[k & 1] else c for k, c in enumerate(coeffs)]
-    return coeffs + [Fraction(0)] * (order + 1 - len(coeffs))
+    coeffs = _taylor_walk(t.num, t.exp, min(order, t.exp))
+    return coeffs + [Fraction(0)] * (order - t.exp)
 
 
 def phi_exact(t: Dyadic | int | Fraction) -> Fraction:
@@ -154,7 +147,7 @@ def level_values(n: int) -> list[Fraction]:
     if n < 0:
         raise ValueError("level n must be >= 0")
     top = 1 << n
-    values = [_taylor_folded(q, n, 0)[0] for q in range(top // 2 + 1)]
+    values = [_taylor_walk(q, n, 0)[0] for q in range(top // 2 + 1)]
     return values + [1 - values[top - q] for q in range(len(values), top + 1)]
 
 
@@ -194,7 +187,7 @@ def phi_derivative(k: int, t: Dyadic | int | Fraction) -> Fraction:
         raise ValueError("derivative order must be >= 0")
     t = Dyadic.from_fraction(t)
     # above order t.exp the derivative vanishes; return before building the plan
-    if k > t.exp or abs(t.num) > (1 << t.exp):
+    if k > t.exp:
         return Fraction(0)
     return _taylor(t, k)[k] * factorial(k)
 

@@ -8,6 +8,7 @@ import textwrap
 import tracemalloc
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -37,6 +38,7 @@ GOLDEN_LEVEL5 = (
     25219, 2288, 19, 0,
 )
 D5 = 33177600
+TAYLOR_LEVEL5_GOLDEN = Path(__file__).parent / "data" / "taylor_level5_golden.txt"
 
 
 def thue_morse_level(n: int) -> tuple[int, list[int]]:
@@ -240,8 +242,9 @@ class TestBlockEvaluator:
         assert _level_plan.cache_info().currsize == 1
 
     def test_near_one_matches_moment_route(self):
-        # phi(1 - 2^-n) from the moment recurrence, independent of the blocks
-        for n in [*range(20, 41), 64, 128]:
+        # phi(1 - 2^-n) from the moment recurrence, independent of the blocks;
+        # q = 2^n - 1 sums every block of its level
+        for n in [*range(1, 65), 96, 128]:
             assert phi_exact(Dyadic((1 << n) - 1, n)) == phi_near_one(n)
 
 
@@ -332,6 +335,31 @@ class TestIdentities:
         for q in range(0, 129):
             t = Dyadic(q, 7)
             assert phi_exact(t) + phi_exact(t - 1) == 1
+
+    @staticmethod
+    def _assert_taylor_symmetries(q, n, order):
+        # evenness: phi^(k)(-t) = (-1)^k phi^(k)(t); reflection for t in (0, 1):
+        # phi(t) = 1 - phi(1 - t) and phi^(k)(t) = -(-1)^k phi^(k)(1 - t), k >= 1
+        coeffs = taylor_at(Dyadic(q, n), order).coeffs
+        mirrored = taylor_at(Dyadic(-q, n), order).coeffs
+        assert mirrored == tuple(-c if k & 1 else c for k, c in enumerate(coeffs)), (q, n)
+        if q > 0:
+            reflected = taylor_at(Dyadic((1 << n) - q, n), order).coeffs
+            assert coeffs[0] == 1 - reflected[0], (q, n)
+            for k in range(1, order + 1):
+                assert coeffs[k] == (reflected[k] if k & 1 else -reflected[k]), (q, n, k)
+
+    def test_taylor_symmetries_on_levels_0_to_8(self):
+        # each odd q > 0 also checks -q, so every canonical point is covered
+        self._assert_taylor_symmetries(0, 0, 2)
+        for n in range(1, 9):
+            for q in range(1, 1 << n, 2):
+                self._assert_taylor_symmetries(q, n, n + 2)
+
+    def test_taylor_symmetries_at_deep_levels(self):
+        rng = random.Random(2323)
+        for n in range(9, 41):
+            self._assert_taylor_symmetries(rng.randrange(1, 1 << n, 2), n, n)
 
     def test_monotone_on_halves(self):
         values = [phi_exact(Dyadic(q, 10)) for q in range(-1024, 1025)]
@@ -482,6 +510,14 @@ class TestTaylor:
         assert len(poly.coeffs) == 3001 and poly.degree == 3
         for k in (0, 1, 2, 3, 4, 3000):
             assert poly.coeffs[k] == phi_derivative(k, t) / factorial(k)
+
+    def test_level5_golden(self):
+        # every point of level 5 and both support edges, to order 7
+        lines = [
+            "\t".join(map(str, (q, *taylor_at(Dyadic(q, 5), 7).coeffs)))
+            for q in range(-32, 33)
+        ]
+        assert lines == TAYLOR_LEVEL5_GOLDEN.read_text().splitlines()
 
     def test_center_outside_support_rejected(self):
         with pytest.raises(ValueError):
