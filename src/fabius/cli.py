@@ -49,8 +49,8 @@ INTEGRITY_ERROR = 2
 # Deepest canonical level eval, deriv and taylor accept; a full-order Taylor
 # vector costs one level plan, about n^4, and taylor (2^127 - 1) 128 128 took
 # about 1 s.  The level as given may be at most twice that: eval's denominator
-# bound at a raw level n needs c up to n/2, about 1 s at n = 256 and 8 s at
-# n = 428.
+# bound at a raw level n needs c up to n/2, about 0.15 s at n = 256 and 1 s
+# at n = 428 in process.
 MAX_LEVEL = 128
 # approx M has degree 2^(M+1) - M - 2, and each further M costs about 4x;
 # M = 16 takes about 1 s.
@@ -58,7 +58,8 @@ MAX_APPROX_LEVEL = 16
 # eval-float --grid L prints 2^(L+1) + 1 rows; L = 14 takes about 0.65 s.  It
 # also caps the level scan of eval and table, whose cost doubles per level.
 MAX_GRID_LEVEL = 14
-# coeffs G 300 takes about 6 s and coeffs c 300 about 65 s.
+# coeffs G 300 takes about 1 s and coeffs c 300 about 3.5 s, half of it in
+# turning the values into decimal strings.
 MAX_COEFFS = 300
 # Synthesis length K: time grows linearly in K, so fourier-coeffs 10^5 took
 # 2.3 s; fourier-coeffs 1024 takes 0.12 s, and eval-float --grid 14 at
@@ -148,8 +149,7 @@ def _emit(args, mode: str, payload, lines) -> None:
 
         print(json.dumps({"mode": mode, "payload": payload()}))
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
 
 
 def _level(n: int) -> tuple[list[Fraction], int]:
@@ -307,11 +307,14 @@ def _cmd_deriv(args) -> int:
 
 def _cmd_taylor(args) -> int:
     poly = taylor_at(_point(args), args.order)
-    values = [format_rational(c) for c in poly.coeffs]
+    degree = poly.degree
+    # every coefficient above the degree is 0: format that once
+    values = [format_rational(c) for c in poly.coeffs[: degree + 1]]
+    values += ["0"] * (len(poly.coeffs) - len(values))
     _emit(
         args,
         "exact",
-        lambda: {"center": str(poly.center), "coeffs": values, "degree": poly.degree},
+        lambda: {"center": str(poly.center), "coeffs": values, "degree": degree},
         (f"{k}\t{v}" for k, v in enumerate(values)),
     )
     return 0

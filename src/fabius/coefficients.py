@@ -13,7 +13,9 @@ the product of their divisors up to index k or n.  A non-integer result there
 can only mean a corrupted table and is treated as a hard failure.
 The ordinary moments int_0^1 t^n phi(t) dt and the values phi(1 - 2^-n) follow
 exactly from d and c, by two independent routes that the test suite compares.
-Each sequence is one extend-only store shared by all callers.
+Each sequence is one extend-only store shared by all callers.  Entry k of a
+store is the pair (x_k * divisor(1) * ... * divisor(k), x_k): the integer that
+the recurrence is summed in, then the value, reduced once.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ class TableIntegrityError(ArithmeticError):
 
 
 # c and d as solved so far; both only grow, under the one lock
-_C: list[Fraction] = [Fraction(1)]
-_D: list[Fraction] = [Fraction(1)]
+_C: list[tuple[int, Fraction]] = [(1, Fraction(1))]
+_D: list[tuple[int, Fraction]] = [(1, Fraction(1))]
 _STORE_LOCK = threading.Lock()
 
 
@@ -56,14 +58,23 @@ def _d_divisor(n: int) -> int:
     return (n + 1) * ((1 << n) - 1)
 
 
-def _solve(store: list[Fraction], n_max: int, rhs, divisor) -> tuple[Fraction, ...]:
-    # store[0..n_max], extending store[k] = rhs(store, k) / divisor(k) as needed
+def _solve(store: list, n_max: int, binomial, divisor) -> tuple[Fraction, ...]:
+    # x_0..x_n_max; the store grows by x_k = sum_{h<k} binomial(k, h) x_h / divisor(k).
+    # Scaled by divisor(1)..divisor(k-1), term h carries the divisors h+1..k-1, so
+    # one upward Horner pass over the stored integers multiplies by divisor(h)
+    # before adding term h; divisor(0) = 0 only multiplies the empty sum.
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     with _STORE_LOCK:
         for k in range(len(store), n_max + 1):
-            store.append(rhs(store, k) / divisor(k))
-        return tuple(store[: n_max + 1])
+            acc = 0
+            for h in range(k):
+                acc = acc * divisor(h) + binomial(k, h) * store[h][0]
+            # the last entry is numerator / (divisor(1)..divisor(k-1)), reduced
+            numerator, value = store[-1]
+            scale = numerator // value.numerator * value.denominator * divisor(k)
+            store.append((acc, Fraction(acc, scale)))
+        return tuple(value for _, value in store[: n_max + 1])
 
 
 def _integer_numerators(values, divisor, name: str) -> tuple[int, ...]:
@@ -86,12 +97,7 @@ def _integer_numerators(values, divisor, name: str) -> tuple[int, ...]:
 @lru_cache(maxsize=1)
 def series_coefficients(n_max: int) -> tuple[Fraction, ...]:
     """The rationals c_0..c_n_max; c_0 = 1, all strictly positive."""
-    return _solve(
-        _C,
-        n_max,
-        lambda c, k: sum(comb(2 * k + 1, 2 * h) * c[h] for h in range(k)),
-        _c_divisor,
-    )
+    return _solve(_C, n_max, lambda k, h: comb(2 * k + 1, 2 * h), _c_divisor)
 
 
 def series_integer_numerators(c: tuple[Fraction, ...]) -> tuple[int, ...]:
@@ -102,9 +108,7 @@ def series_integer_numerators(c: tuple[Fraction, ...]) -> tuple[int, ...]:
 @lru_cache(maxsize=1)
 def exp_moment_coefficients(n_max: int) -> tuple[Fraction, ...]:
     """The rationals d_0..d_n_max; d_0 = 1."""
-    return _solve(
-        _D, n_max, lambda d, n: sum(comb(n + 1, k) * d[k] for k in range(n)), _d_divisor
-    )
+    return _solve(_D, n_max, lambda n, k: comb(n + 1, k), _d_divisor)
 
 
 def exp_moment_integer_numerators(d: tuple[Fraction, ...]) -> tuple[int, ...]:

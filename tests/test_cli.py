@@ -136,6 +136,22 @@ class TestDerivAndTaylor:
         values = [line.split("\t")[1] for line in out.splitlines()]
         assert values == ["1/2", "2", "0"]
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    @pytest.mark.parametrize(
+        "q,n,order", [(1, 3, 0), (1, 3, 2), (1, 3, 3), (1, 3, 4), (1, 3, 40), (1, 0, 3)]
+    )
+    def test_taylor_coeffs_around_the_degree(self, capsys, json_flag, q, n, order):
+        # orders below, at and above the degree 3 of 1/8, and the support edge 1
+        poly = taylor_at(Fraction(q, 1 << n), order)
+        expected = [format_rational(c) for c in poly.coeffs]
+        code, out, _ = run_cli(capsys, *json_flag, "taylor", str(q), str(n), str(order))
+        assert code == 0
+        if json_flag:
+            payload = json.loads(out)["payload"]
+            assert (payload["coeffs"], payload["degree"]) == (expected, poly.degree)
+        else:
+            assert out.splitlines() == [f"{k}\t{v}" for k, v in enumerate(expected)]
+
     def test_deriv_huge_order(self, capsys):
         # above the level every derivative vanishes; no 10^9-bit integer is built
         code, out, err = run_cli(capsys, "deriv", "1000000000", "1", "3")

@@ -26,8 +26,8 @@ N = 24
 @pytest.fixture
 def empty_store(monkeypatch):
     """Both coefficient stores cut back to their first term for one test."""
-    monkeypatch.setattr(coefficients, "_C", [Fraction(1)])
-    monkeypatch.setattr(coefficients, "_D", [Fraction(1)])
+    monkeypatch.setattr(coefficients, "_C", [(1, Fraction(1))])
+    monkeypatch.setattr(coefficients, "_D", [(1, Fraction(1))])
     series_coefficients.cache_clear()
     exp_moment_coefficients.cache_clear()
     yield
@@ -77,8 +77,9 @@ class TestSeriesCoefficients:
 
     def test_defining_recurrence(self, empty_store):
         # out of order, so the shorter prefixes are read from the grown store
-        prefixes = [series_coefficients(n) for n in (40, 10, 25)]
-        assert [len(p) for p in prefixes] == [41, 11, 26]
+        # and the longest grows it again from index 41
+        prefixes = [series_coefficients(n) for n in (40, 10, 25, 100)]
+        assert [len(p) for p in prefixes] == [41, 11, 26, 101]
         assert_c_recurrence(assert_prefixes(prefixes))
 
     def test_all_positive(self):
@@ -112,8 +113,8 @@ class TestExpMomentCoefficients:
         assert d == (Fraction(1), Fraction(1, 2), Fraction(5, 18), Fraction(1, 6))
 
     def test_defining_recurrence(self, empty_store):
-        prefixes = [exp_moment_coefficients(n) for n in (40, 10, 25)]
-        assert [len(p) for p in prefixes] == [41, 11, 26]
+        prefixes = [exp_moment_coefficients(n) for n in (40, 10, 25, 100)]
+        assert [len(p) for p in prefixes] == [41, 11, 26, 101]
         assert_d_recurrence(assert_prefixes(prefixes))
 
     def test_series_product_identity(self):
