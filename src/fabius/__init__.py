@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 _LAYERS = {
     "approximants": (
         "partition_polynomial",
-        "partition_polynomial_degree",
         "plateau_numerators",
         "restricted_partitions",
         "StepFunction",
@@ -46,7 +45,6 @@ _LAYERS = {
         "fourier_coefficients",
         "phi_fourier",
         "translate_sum",
-        "translate_sum_synthesis",
         "poisson_check",
     ),
     "stochastic": ("BLOCK_SIZE", "McEstimate", "mc_phi"),

@@ -20,7 +20,6 @@ from .core import Dyadic
 
 __all__ = [
     "partition_polynomial",
-    "partition_polynomial_degree",
     "plateau_numerators",
     "restricted_partitions",
     "StepFunction",
@@ -40,16 +39,6 @@ def partition_polynomial(n: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def partition_polynomial_degree(n: int) -> int:
-    """deg p_n, via g_0 = 0, g_n = 2 g_{n-1} + n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    g = 0
-    for m in range(1, n + 1):
-        g = 2 * g + m
-    return g
-
-
 def restricted_partitions(m: int) -> tuple[int, ...]:
     """Counts of tuples (s_1..s_m) with 0 <= s_i <= 2^i - 1, by their sum r.
 
@@ -60,7 +49,7 @@ def restricted_partitions(m: int) -> tuple[int, ...]:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    counts = [0] * (partition_polynomial_degree(m) + 1)
+    counts = [0] * ((1 << (m + 1)) - m - 1)  # deg p_m = 2^(m+1) - m - 2
     for s in product(*(range(1 << i) for i in range(1, m + 1))):
         counts[sum(s)] += 1
     return tuple(counts)

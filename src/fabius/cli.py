@@ -29,7 +29,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
-from math import isfinite, lcm
+from math import isfinite
 
 from .coefficients import (
     exp_moment_coefficients,
@@ -38,8 +38,8 @@ from .coefficients import (
     series_integer_numerators,
 )
 from .core import Dyadic, canonical_dyadic, format_rational
-from .exact import level_denominator_bound, level_values, phi_derivative
-from .exact import phi_exact, taylor_at
+from .exact import _level_numerators, level_denominator_bound, level_values
+from .exact import phi_derivative, phi_exact, taylor_at
 
 __all__ = ["main", "render_table"]
 
@@ -152,25 +152,19 @@ def _emit(args, mode: str, payload, lines) -> None:
         sys.stdout.writelines(f"{line}\n" for line in lines)
 
 
-def _level(n: int) -> tuple[list[Fraction], int]:
-    """The level-n grid values and their minimal common denominator."""
-    values = level_values(n)
-    return values, lcm(*(v.denominator for v in values))
-
-
 def level_denominator(n: int) -> int:
     """Minimal common denominator of the level-n grid values."""
-    return _level(n)[1]
+    return _level_numerators(n)[1]
 
 
 def render_table(n: int) -> list[str]:
     """Rows ``q<TAB>D*phi(q/2^n)<TAB>phi(q/2^n)`` with D the minimal level denominator."""
-    return _table_rows(*_level(n))
+    return _table_rows(*_level_numerators(n))
 
 
-def _table_rows(values: list[Fraction], d: int) -> list[str]:
+def _table_rows(numerators: list[int], d: int) -> list[str]:
     return [
-        f"{q}\t{_as_int(v * d)}\t{format_rational(v)}" for q, v in enumerate(values)
+        f"{q}\t{v}\t{format_rational(Fraction(v, d))}" for q, v in enumerate(numerators)
     ]
 
 
@@ -255,8 +249,8 @@ def _cmd_table(args) -> int:
     max_level = _max_level(args)
     if not 0 <= args.n <= max_level:
         raise ValueError(f"table level must be in 0..{max_level}")
-    values, d = _level(args.n)
-    lines = _table_rows(values, d)
+    numerators, d = _level_numerators(args.n)
+    lines = _table_rows(numerators, d)
     _emit(
         args,
         "table",

@@ -1,4 +1,4 @@
-"""Exact evaluation of phi, theta, derivatives and Taylor data at dyadic points.
+"""Exact evaluation of phi, its derivatives and Taylor data at dyadic points.
 
 phi is the unique smooth function supported on [-1, 1] with phi(0) = 1 and
 phi'(t) = 2 (phi(2t+1) - phi(2t-1)).  At a dyadic point t = q/2^n its value
@@ -20,21 +20,26 @@ is one polynomial B_m(y) over a common denominator per level, and halving a
 block gives B_{m+1}(y) = B_m(y) - B_m(y - 2^(m+1)): n Taylor shifts and
 differences build a level's O(n^3) polynomials, B_m of degree n - m
 (Prouhet), and they are the only state kept.  A point then costs one
-synthetic division per block and a single Fraction, O(n^2) bigint steps;
-:func:`level_values` evaluates q <= 2^(n-1) on the level's own plan and
-fills the rest by the reflection phi(t) = 1 - phi(1-t).
+synthetic division per block and a single Fraction, O(n^2) bigint steps.
+
+A whole level stays in integers over one denominator.  The walk gives
+d phi(q/2^n) over the plan's denominator d for q <= 2^(n-1), the reflection
+phi(t) = 1 - phi(1-t) gives the rest as d - v, and the minimal level
+denominator is D = d / gcd(d, numerators); :func:`level_values` returns the
+numerators over D as Fractions.
 
 The plan holds every derivative: A_n(y) = sum_k C(n, 2k) c_k y^(n-2k) is
 an Appell sequence, so with Prouhet phi^(k)(q/2^n)/k! is 2^(k(n+1)) times
 the blocks' signed k-th Taylor coefficients at the same y.  This agrees
-with phi^(k)(t) = 2^C(k+1,2) theta(2^k t + 2^k), theta as in :func:`theta_exact`.
+with phi^(k)(t) = 2^C(k+1,2) theta(2^k t + 2^k) for the alternating
+translate sum theta(t) = sum_{j>=0} (-1)^s(j) phi(t - 2j - 1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import NamedTuple
 
 from .coefficients import series_coefficients
@@ -44,7 +49,6 @@ __all__ = [
     "phi_exact",
     "phi_exact_raw",
     "level_values",
-    "theta_exact",
     "phi_derivative",
     "taylor_at",
     "TaylorPolynomial",
@@ -110,9 +114,10 @@ def _level_plan(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return d, tuple(blocks)
 
 
-def _taylor_walk(q: int, n: int, order: int) -> list[Fraction]:
-    # |q| < 2^n, of any parity, and order <= n; blocks as in the module doc
-    d, blocks = _level_plan(n)
+def _taylor_walk(q: int, n: int, order: int) -> list[int]:
+    # |q| < 2^n, of any parity, and order <= n; blocks as in the module doc.
+    # Entry k is d phi^(k)(q/2^n) / (k! 2^(k(n+1))), d the plan's denominator
+    blocks = _level_plan(n)[1]
     top = q + (1 << n)
     totals = [0] * (order + 1)
     start = 0
@@ -126,15 +131,18 @@ def _taylor_walk(q: int, n: int, order: int) -> list[Fraction]:
                     p[i] += p[i - 1] * y
                 totals[k] += sign * p.pop()
             start += 1 << m
-    return [Fraction(v << k * (n + 1), d) for k, v in enumerate(totals)]
+    return totals
 
 
 def _taylor(t: Dyadic, order: int) -> list[Fraction]:
     # phi^(k)(t)/k!, k <= order: zero outside (-1, 1) and above order t.exp
-    if abs(t.num) >= (1 << t.exp):
+    n = t.exp
+    if abs(t.num) >= (1 << n):
         return [Fraction(0)] * (order + 1)
-    coeffs = _taylor_walk(t.num, t.exp, min(order, t.exp))
-    return coeffs + [Fraction(0)] * (order - t.exp)
+    d = _level_plan(n)[0]
+    totals = _taylor_walk(t.num, n, min(order, n))
+    coeffs = [Fraction(v << k * (n + 1), d) for k, v in enumerate(totals)]
+    return coeffs + [Fraction(0)] * (order - n)
 
 
 def phi_exact(t: Dyadic | int | Fraction) -> Fraction:
@@ -142,13 +150,26 @@ def phi_exact(t: Dyadic | int | Fraction) -> Fraction:
     return _taylor(Dyadic.from_fraction(t), 0)[0]
 
 
-def level_values(n: int) -> list[Fraction]:
-    """phi(q/2^n) for q = 0..2^n; q > 2^(n-1) by reflection, as 1 - phi."""
+def _level_numerators(n: int) -> tuple[list[int], int]:
+    """(D phi(q/2^n) for q = 0..2^n, D) with D the minimal level denominator.
+
+    q > 2^(n-1) by reflection, as d - v over the plan's denominator d; D is
+    d / gcd(d, numerators).
+    """
     if n < 0:
         raise ValueError("level n must be >= 0")
+    d = _level_plan(n)[0]
     top = 1 << n
-    values = [_taylor_walk(q, n, 0)[0] for q in range(top // 2 + 1)]
-    return values + [1 - values[top - q] for q in range(len(values), top + 1)]
+    half = [_taylor_walk(q, n, 0)[0] for q in range(top // 2 + 1)]
+    numerators = half + [d - half[top - q] for q in range(len(half), top + 1)]
+    g = gcd(d, *numerators)
+    return [v // g for v in numerators], d // g
+
+
+def level_values(n: int) -> list[Fraction]:
+    """phi(q/2^n) for q = 0..2^n."""
+    numerators, d = _level_numerators(n)
+    return [Fraction(v, d) for v in numerators]
 
 
 def level_denominator_bound(n: int) -> int:
@@ -161,24 +182,6 @@ def level_denominator_bound(n: int) -> int:
     if n < 0:
         raise ValueError("level n must be >= 0")
     return lcm(*(w.denominator for w in _weights(n)))
-
-
-def theta_exact(t: Dyadic | int | Fraction) -> Fraction:
-    """Exact theta at a dyadic point.
-
-    theta(t) = sum_{k>=0} (-1)^s(k) phi(t - 2k - 1); at most one summand is
-    nonzero since the k-th translate lives on (2k, 2k+2).  Zero for t <= 0
-    and at even integers.
-    """
-    t = Dyadic.from_fraction(t)
-    if t.num <= 0:
-        return Fraction(0)
-    k = t.num >> (t.exp + 1)
-    if (k << (t.exp + 1)) == t.num:
-        return Fraction(0)  # even integer
-    inner = Dyadic(t.num - ((2 * k + 1) << t.exp), t.exp)
-    value = phi_exact(inner)
-    return -value if k.bit_count() & 1 else value
 
 
 def phi_derivative(k: int, t: Dyadic | int | Fraction) -> Fraction:
@@ -206,14 +209,15 @@ class TaylorPolynomial(NamedTuple):
 
     @property
     def degree(self) -> int:
-        for k in range(len(self.coeffs) - 1, -1, -1):
+        # above order center.exp every coefficient is a zero taylor_at padded
+        for k in range(min(len(self.coeffs) - 1, self.center.exp), -1, -1):
             if self.coeffs[k]:
                 return k
         return -1
 
 
 # taylor_at pads zeros above the degree, so time and memory grow linearly in
-# the order: taylor 1 3 1000000 took 1.6-2.1 s and 38 MB on a 2-vCPU VM.
+# the order: taylor 1 3 1000000 took 0.8-1.2 s and 38 MB on a 2-vCPU VM.
 MAX_TAYLOR_ORDER = 10**6
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "fourier_coefficients",
     "phi_fourier",
     "translate_sum",
-    "translate_sum_synthesis",
     "poisson_check",
 ]
 
@@ -124,21 +123,6 @@ def translate_sum(t: float, u: float, fc: tuple[float, ...]) -> float:
     lo = math.ceil((-1 - t) / u)
     hi = math.floor((1 - t) / u)
     return sum(phi_fourier(t + u * k, fc) for k in range(lo, hi + 1))
-
-
-def translate_sum_synthesis(t: float, u: float) -> float:
-    """Fourier side of the periodization identity.
-
-    (1/u) sum_k hat(k/u) e^(2 pi i k t / u), folded to a real cosine sum over
-    |k| <= 128; the exponential is t-dependent, which is what the direct
-    side's Fourier expansion in t requires.
-    """
-    if u <= 0:
-        raise ValueError("u must be > 0")
-    total = transform_product(0.0) / u
-    for m in range(1, 129):
-        total += 2.0 / u * transform_product(m / u) * math.cos(2 * math.pi * m * t / u)
-    return total
 
 
 def poisson_check(a: float) -> tuple[float, float]:

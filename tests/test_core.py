@@ -14,7 +14,8 @@ from fabius.core import (
     thue_morse_sign,
     val2,
 )
-from fabius.exact import phi_derivative, phi_exact, taylor_at, theta_exact
+from fabius.exact import phi_derivative, phi_exact, taylor_at
+from test_exact import theta_exact
 
 
 def brute_digit_sum(k: int) -> int:

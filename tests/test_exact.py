@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 
 import fabius
-from fabius.cli import level_denominator
+from fabius.cli import level_denominator, render_table
 from fabius.coefficients import phi_near_one
 from fabius.core import Dyadic, thue_morse_sign
 from fabius.exact import (
@@ -27,7 +27,6 @@ from fabius.exact import (
     phi_exact,
     phi_exact_raw,
     taylor_at,
-    theta_exact,
 )
 
 GOLDEN_LEVEL5 = (
@@ -71,6 +70,25 @@ def thue_morse_level(n: int) -> tuple[int, list[int]]:
         for j in range(len(g) - 1, step - 1, -1):
             g[j] -= g[j - step]
     return d, g[(1 << n) - 1:]
+
+
+def theta_exact(t: Dyadic | int | Fraction) -> Fraction:
+    """Exact theta(t) = sum_{k>=0} (-1)^s(k) phi(t - 2k - 1) at a dyadic point.
+
+    At most one summand is nonzero since the k-th translate lives on
+    (2k, 2k+2); zero for t <= 0 and at even integers.  The derivative oracle
+    phi^(k)(t) = 2^C(k+1,2) theta(2^k t + 2^k) reaches phi^(k) through
+    coarser levels, not through the Taylor walk.
+    """
+    t = Dyadic.from_fraction(t)
+    if t.num <= 0:
+        return Fraction(0)
+    k = t.num >> (t.exp + 1)
+    if (k << (t.exp + 1)) == t.num:
+        return Fraction(0)  # even integer
+    inner = Dyadic(t.num - ((2 * k + 1) << t.exp), t.exp)
+    value = phi_exact(inner)
+    return -value if k.bit_count() & 1 else value
 
 
 class TestPhiExact:
@@ -266,6 +284,16 @@ class TestLevelValues:
         for n in range(15):
             d, numerators = thue_morse_level(n)
             assert level_denominator(n) == d // gcd(d, *numerators)
+
+    def test_table_rows_equal_thue_morse_product(self):
+        # column 2 is D phi(q/2^n) over the minimal D, column 3 the reduced value
+        for n in range(13):
+            d, numerators = thue_morse_level(n)
+            minimal = d // gcd(d, *numerators)
+            assert render_table(n) == [
+                f"{q}\t{Fraction(a * minimal, d)}\t{Fraction(a, d)}"
+                for q, a in enumerate(numerators)
+            ]
 
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
@@ -500,6 +528,10 @@ class TestTaylor:
             for q in (-(1 << n) + 1, 1, (1 << n) - 1):
                 poly = taylor_at(Dyadic(q, n), n + 4)
                 assert poly.degree == n
+        assert taylor_at(Dyadic(1, 3), 10**6).degree == 3
+        assert taylor_at(Dyadic(1, 0), 5).degree == -1
+        assert taylor_at(Dyadic(-1, 0), 5).degree == -1
+        assert taylor_at(Dyadic(0, 0), 5).degree == 0
 
     def test_no_factorial_above_the_degree(self):
         t = Dyadic(1, 3)

