@@ -75,15 +75,6 @@ class StepFunction(NamedTuple):
     def degree(self) -> int:
         return len(self.values) - 1
 
-    def interval(self, j: int) -> tuple[Dyadic, Dyadic]:
-        """Half-open support [left, right) of plateau j."""
-        g = self.degree
-        shift = self.level + 1
-        return (
-            Dyadic(2 * j - 1 - g, shift),
-            Dyadic(2 * j + 1 - g, shift),
-        )
-
     def integral(self) -> Fraction:
         return sum(self.values, Fraction(0)) / (1 << self.level)
 

@@ -37,7 +37,7 @@ from .coefficients import (
     series_coefficients,
     series_integer_numerators,
 )
-from .core import Dyadic, canonical_dyadic, format_rational
+from .core import Dyadic, canonical_dyadic
 from .exact import _level_numerators, level_denominator_bound, level_values
 from .exact import phi_derivative, phi_exact, taylor_at
 
@@ -139,7 +139,8 @@ def _no_int_str_limit():
 
 
 def _emit(args, mode: str, payload, lines) -> None:
-    """Print ``lines``, or under ``--json`` the object around ``payload()``.
+    """Print ``lines``, each ending in its newline, or under ``--json`` the
+    object around ``payload()``.
 
     Only the printed form is built: ``payload`` is called, and ``lines``
     iterated, only in its own mode.
@@ -149,7 +150,7 @@ def _emit(args, mode: str, payload, lines) -> None:
 
         print(json.dumps({"mode": mode, "payload": payload()}))
     else:
-        sys.stdout.writelines(f"{line}\n" for line in lines)
+        sys.stdout.writelines(lines)
 
 
 def level_denominator(n: int) -> int:
@@ -164,7 +165,7 @@ def render_table(n: int) -> list[str]:
 
 def _table_rows(numerators: list[int], d: int) -> list[str]:
     return [
-        f"{q}\t{v}\t{format_rational(Fraction(v, d))}" for q, v in enumerate(numerators)
+        f"{q}\t{v}\t{Fraction(v, d)}" for q, v in enumerate(numerators)
     ]
 
 
@@ -189,11 +190,11 @@ def _cmd_eval(args) -> int:
         "exact",
         lambda: {
             "t": str(t),
-            "value": format_rational(value),
+            "value": str(value),
             "level_numerator": str(scaled),
             "level_denominator": str(d),
         },
-        [format_rational(value), f"{scaled}/{d}"],
+        [f"{value}\n", f"{scaled}/{d}\n"],
     )
     return 0
 
@@ -210,7 +211,8 @@ def _cmd_eval_float(args) -> int:
             raise ValueError("eval-float T must be finite")
         # the synthesis is 2-periodic; phi itself vanishes outside (-1, 1)
         value = spectral.phi_fourier(args.t, fc) if abs(args.t) < 1 else 0.0
-        _emit(args, "float", lambda: {"t": args.t, "value": value}, [_float_str(value)])
+        line = f"{_float_str(value)}\n"
+        _emit(args, "float", lambda: {"t": args.t, "value": value}, [line])
         return 0
     level = args.grid
     values = level_values(level)
@@ -218,7 +220,7 @@ def _cmd_eval_float(args) -> int:
     # -((2k+1)*pi*t) and cos is even, so both sums are bit-identical, and
     # q/2^level is the double float(Dyadic(q, level)).
     synth = [spectral.phi_fourier(q / (1 << level), fc) for q in range(len(values))]
-    exact = [format_rational(v) for v in values]
+    exact = [str(v) for v in values]
     err = [abs(a - float(v)) for a, v in zip(synth, values)]
     qs = range(-(1 << level), (1 << level) + 1)
     _emit(
@@ -234,10 +236,10 @@ def _cmd_eval_float(args) -> int:
             for q in qs
         ],
         chain(
-            ["t,phi_fourier,phi_exact_if_dyadic,abs_err"],
+            ["t,phi_fourier,phi_exact_if_dyadic,abs_err\n"],
             (
                 f"{_float_str(q / (1 << level))},{_float_str(synth[abs(q)])},"
-                f"{exact[abs(q)]},{_float_str(err[abs(q)])}"
+                f"{exact[abs(q)]},{_float_str(err[abs(q)])}\n"
                 for q in qs
             ),
         ),
@@ -259,7 +261,7 @@ def _cmd_table(args) -> int:
             "denominator": str(d),
             "rows": [line.split("\t") for line in lines],
         },
-        lines,
+        (f"{line}\n" for line in lines),
     )
     return 0
 
@@ -269,11 +271,11 @@ def _cmd_coeffs(args) -> int:
     if not 0 <= n <= MAX_COEFFS:
         raise ValueError(f"coeffs count must be in 0..{MAX_COEFFS}")
     if args.which == "c":
-        values = [format_rational(v) for v in series_coefficients(n)]
+        values = [str(v) for v in series_coefficients(n)]
     elif args.which == "F":
         values = [str(v) for v in series_integer_numerators(series_coefficients(n))]
     elif args.which == "d":
-        values = [format_rational(v) for v in exp_moment_coefficients(n)]
+        values = [str(v) for v in exp_moment_coefficients(n)]
     else:
         values = [
             str(v) for v in exp_moment_integer_numerators(exp_moment_coefficients(n))
@@ -282,7 +284,7 @@ def _cmd_coeffs(args) -> int:
         args,
         "coeffs",
         lambda: {"which": args.which, "values": values},
-        (f"{k}\t{v}" for k, v in enumerate(values)),
+        (f"{k}\t{v}\n" for k, v in enumerate(values)),
     )
     return 0
 
@@ -293,8 +295,8 @@ def _cmd_deriv(args) -> int:
     _emit(
         args,
         "exact",
-        lambda: {"order": args.k, "t": str(t), "value": format_rational(value)},
-        [format_rational(value)],
+        lambda: {"order": args.k, "t": str(t), "value": str(value)},
+        [f"{value}\n"],
     )
     return 0
 
@@ -303,13 +305,13 @@ def _cmd_taylor(args) -> int:
     poly = taylor_at(_point(args), args.order)
     degree = poly.degree
     # every coefficient above the degree is 0: format that once
-    values = [format_rational(c) for c in poly.coeffs[: degree + 1]]
+    values = [str(c) for c in poly.coeffs[: degree + 1]]
     values += ["0"] * (len(poly.coeffs) - len(values))
     _emit(
         args,
         "exact",
         lambda: {"center": str(poly.center), "coeffs": values, "degree": degree},
-        (f"{k}\t{v}" for k, v in enumerate(values)),
+        (f"{k}\t{v}\n" for k, v in enumerate(values)),
     )
     return 0
 
@@ -323,7 +325,7 @@ def _cmd_approx(args) -> int:
     numerators, exp = plateau_numerators(m)
     g = len(numerators) - 1
     # plateau j spans [(2j-1-g)/2^(m+1), (2j+1-g)/2^(m+1)) = [edges[j], edges[j+1]),
-    # each edge printed as str(Dyadic), each value as format_rational prints it
+    # each edge printed as str(Dyadic), each value as str(Fraction) prints it
     edges = [
         "%d/2^%d" % canonical_dyadic(2 * j - 1 - g, m + 1) for j in range(g + 2)
     ]
@@ -343,7 +345,10 @@ def _cmd_approx(args) -> int:
                 for left, right, value in plateaus()
             ],
         },
-        chain(["left_edge,right_edge,value"], map(",".join, plateaus())),
+        chain(
+            ["left_edge,right_edge,value\n"],
+            (f"{left},{right},{value}\n" for left, right, value in plateaus()),
+        ),
     )
     return 0
 
@@ -357,7 +362,7 @@ def _cmd_fourier_coeffs(args) -> int:
         args,
         "fourier",
         lambda: {"K": len(fc), "m_max": m_max, "a": list(fc)},
-        (f"{k}\t{_float_str(ak)}" for k, ak in enumerate(fc)),
+        (f"{k}\t{_float_str(ak)}\n" for k, ak in enumerate(fc)),
     )
     return 0
 
@@ -375,7 +380,7 @@ def _cmd_mc(args) -> int:
         "bias_bound": est.bias_bound,
         "seed": est.seed,
     }
-    _emit(args, "mc", lambda: payload, [json.dumps(payload)])
+    _emit(args, "mc", lambda: payload, [json.dumps(payload) + "\n"])
     return 0
 
 

@@ -6,14 +6,14 @@ rationals, so that level-indexed algorithms never have to re-derive n from a
 denominator; their comparisons and arithmetic go through the equal Fraction.
 General exact rationals are plain ``fractions.Fraction`` values, which
 already guarantee the canonical form this package relies on (positive
-denominator, fully reduced).  The binary helpers are the 2-adic valuation,
+denominator, fully reduced); their ``str`` is the package's text form, which
+``Fraction(text)`` reads back.  The binary helpers are the 2-adic valuation,
 which the pole form of the transform uses, and the Thue-Morse sign of the
 exact evaluator's blocks and of the Fourier coefficients.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import total_ordering
 
@@ -22,8 +22,6 @@ __all__ = [
     "canonical_dyadic",
     "val2",
     "thue_morse_sign",
-    "format_rational",
-    "parse_rational",
 ]
 
 
@@ -39,25 +37,12 @@ def thue_morse_sign(k: int) -> int:
     return -1 if k.bit_count() & 1 else 1
 
 
-def format_rational(value: Fraction) -> str:
-    """Serialize an exact rational as "num/den", with "/den" omitted for integers."""
-    return str(value)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`; accepts "num/den" and bare integers."""
-    return Fraction(text.strip())
-
-
 def canonical_dyadic(num: int, exp: int) -> tuple[int, int]:
     """num / 2^exp (exp >= 0) as the pair ``Dyadic`` stores: exp == 0 or num odd."""
     if num == 0:
         return 0, 0
     shift = min(exp, (num & -num).bit_length() - 1)
     return num >> shift, exp - shift
-
-
-_DYADIC_RE = re.compile(r"^([+-]?\d+)/2\^(\d+)$")
 
 
 @total_ordering
@@ -95,18 +80,6 @@ class Dyadic:
         if den & (den - 1):
             raise ValueError(f"{value} is not a dyadic rational")
         return cls(value.numerator, den.bit_length() - 1)
-
-    @classmethod
-    def parse(cls, text: str) -> Dyadic:
-        """Parse the "num/2^exp" serialization (bare integers also accepted)."""
-        text = text.strip()
-        m = _DYADIC_RE.match(text)
-        if m:
-            return cls(int(m.group(1)), int(m.group(2)))
-        try:
-            return cls(int(text))
-        except ValueError:
-            raise ValueError(f"not a dyadic literal: {text!r}") from None
 
     def to_fraction(self) -> Fraction:
         return Fraction(self._num, 1 << self._exp)

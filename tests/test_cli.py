@@ -12,7 +12,7 @@ import pytest
 from fabius.approximants import step_function
 from fabius.cli import _emit, main
 from fabius.coefficients import phi_near_one
-from fabius.core import Dyadic, format_rational, parse_rational
+from fabius.core import Dyadic
 from fabius.exact import phi_derivative, phi_exact, taylor_at
 from fabius.spectral import (
     DEFAULT_M_MAX,
@@ -20,6 +20,8 @@ from fabius.spectral import (
     phi_fourier,
     transform_product,
 )
+from test_approximants import plateau_interval
+from test_core import parse_dyadic
 
 GOLDEN = Path(__file__).parent / "data" / "table_n5_golden.txt"
 
@@ -73,7 +75,7 @@ class TestEval:
             code, out, _ = run_cli(capsys, "eval", str(q), str(n))
             assert code == 0
             reduced, scaled = out.splitlines()[:2]
-            value = parse_rational(reduced)
+            value = Fraction(reduced)
             num, den = scaled.split("/")
             assert Fraction(int(num), int(den)) == value
 
@@ -117,7 +119,7 @@ class TestCoeffs:
 
     def test_rational_series(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "c", "2")
-        values = [parse_rational(line.split("\t")[1]) for line in out.splitlines()]
+        values = [Fraction(line.split("\t")[1]) for line in out.splitlines()]
         assert values == [Fraction(1), Fraction(1, 9), Fraction(19, 675)]
 
     def test_moment_numerators(self, capsys):
@@ -143,7 +145,7 @@ class TestDerivAndTaylor:
     def test_taylor_coeffs_around_the_degree(self, capsys, json_flag, q, n, order):
         # orders below, at and above the degree 3 of 1/8, and the support edge 1
         poly = taylor_at(Fraction(q, 1 << n), order)
-        expected = [format_rational(c) for c in poly.coeffs]
+        expected = [str(c) for c in poly.coeffs]
         code, out, _ = run_cli(capsys, *json_flag, "taylor", str(q), str(n), str(order))
         assert code == 0
         if json_flag:
@@ -165,7 +167,7 @@ class TestDeepLevels:
     def test_eval(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "1", "40")
         assert code == 0
-        value = parse_rational(out.splitlines()[0])
+        value = Fraction(out.splitlines()[0])
         assert value == 1 - phi_near_one(40)
         assert value + phi_exact(self.T - 1) == 1
         num, den = out.splitlines()[1].split("/")
@@ -176,12 +178,12 @@ class TestDeepLevels:
         assert code == 0
         doubled = self.T.mul_pow2(1)
         rhs = 4 * (phi_derivative(1, doubled + 1) - phi_derivative(1, doubled - 1))
-        assert parse_rational(out.strip()) == rhs
+        assert Fraction(out.strip()) == rhs
 
     def test_taylor(self, capsys):
         code, out, _ = run_cli(capsys, "taylor", "1", "40", "2")
         assert code == 0
-        coeffs = [parse_rational(line.split("\t")[1]) for line in out.splitlines()]
+        coeffs = [Fraction(line.split("\t")[1]) for line in out.splitlines()]
         doubled = self.T.mul_pow2(1)
         assert coeffs[0] == 1 - phi_near_one(40)
         assert coeffs[1] == 2 * (phi_exact(doubled + 1) - phi_exact(doubled - 1))
@@ -242,7 +244,7 @@ class TestIntStrLimit:
         assert sys.get_int_max_str_digits() == limit
         sys.set_int_max_str_digits(0)
         try:
-            expected = format_rational(phi_exact(Dyadic(1, 140)))
+            expected = str(phi_exact(Dyadic(1, 140)))
         finally:
             sys.set_int_max_str_digits(limit)
         assert len(expected) > limit
@@ -372,22 +374,21 @@ class TestApprox:
         total = Fraction(0)
         for line in lines[1:]:
             left, right, value = line.split(",")
-            l, r = Dyadic.parse(left), Dyadic.parse(right)
-            width = r.to_fraction() - l.to_fraction()
+            width = parse_dyadic(right) - parse_dyadic(left)
             widths.add(width)
-            total += parse_rational(value) * width
+            total += Fraction(value) * width
         assert widths == {Fraction(1, 4)}
         assert total == 1
 
     @pytest.mark.parametrize("m", range(11))
     def test_rows_match_step_function(self, capsys, m):
         # the rows are rendered from integers; the oracle renders the
-        # StepFunction's Dyadic edges and Fraction values
+        # plateau edges as Dyadics and the StepFunction's Fraction values
         sf = step_function(m)
         expected = []
         for j, value in enumerate(sf.values):
-            left, right = sf.interval(j)
-            expected.append([str(left), str(right), format_rational(value)])
+            left, right = plateau_interval(sf, j)
+            expected.append([str(left), str(right), str(value)])
         _, out, _ = run_cli(capsys, "approx", str(m))
         lines = out.splitlines()
         assert lines[0] == "left_edge,right_edge,value"
@@ -461,7 +462,7 @@ class TestFourierAndFloat:
             expected.append((t, approx, exact, abs(approx - float(exact))))
         _, out, _ = run_cli(capsys, "eval-float", "--grid", str(level))
         assert out.splitlines()[1:] == [
-            f"{float(t):.17g},{approx:.17g},{format_rational(exact)},{err:.17g}"
+            f"{float(t):.17g},{approx:.17g},{exact},{err:.17g}"
             for t, approx, exact, err in expected
         ]
         _, out, _ = run_cli(capsys, "--json", "eval-float", "--grid", str(level))
@@ -469,7 +470,7 @@ class TestFourierAndFloat:
             {
                 "t": str(t),
                 "phi_fourier": approx,
-                "phi_exact": format_rational(exact),
+                "phi_exact": str(exact),
                 "abs_err": err,
             }
             for t, approx, exact, err in expected
@@ -558,7 +559,7 @@ class TestEmit:
         def payload():
             raise AssertionError("payload built in plain mode")
 
-        _emit(Namespace(json=False), "m", payload, iter(["a", "b"]))
+        _emit(Namespace(json=False), "m", payload, iter(["a\n", "b\n"]))
         assert capsys.readouterr().out == "a\nb\n"
 
     def test_json_mode_never_reads_the_lines(self, capsys):

@@ -91,6 +91,42 @@ def theta_exact(t: Dyadic | int | Fraction) -> Fraction:
     return -value if k.bit_count() & 1 else value
 
 
+def phi_enclosure(x: Fraction, n: int) -> tuple[Fraction, Fraction]:
+    """(value, bound) with |phi(x) - value| <= bound, for rational x in [-1, 1].
+
+    value is the degree-n Taylor polynomial at the nearest q/2^n, so the step
+    h has |h| <= 2^-(n+1).  The functional equation gives
+    ||phi^(k)|| = 2^C(k+1,2), so the Lagrange remainder is at most
+    2^C(n+2,2) |h|^(n+1) / (n+1)! <= 2^(-n(n+1)/2) / (n+1)!.
+    """
+    center = Dyadic(round(x * (1 << n)), n)
+    h = x - center.to_fraction()
+    value = Fraction(0)
+    for c in reversed(taylor_at(center, n).coeffs):
+        value = value * h + c
+    return value, Fraction(1, factorial(n + 1) << n * (n + 1) // 2)
+
+
+class TestPhiEnclosure:
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_holds_at_deep_dyadics(self, n):
+        rng = random.Random(20261019 + n)
+        for _ in range(150):
+            level = rng.randint(20, 30)
+            x = Fraction(rng.randrange(1 - (1 << level), 1 << level), 1 << level)
+            value, bound = phi_enclosure(x, n)
+            assert abs(value - phi_exact(x)) <= bound
+
+    def test_exact_on_its_own_level(self):
+        for q in range(-16, 17):
+            assert phi_enclosure(Fraction(q, 16), 4)[0] == phi_exact(Dyadic(q, 4))
+
+    def test_bounds(self):
+        # 2^-21/7!, 2^-36/9!, 2^-55/11!
+        bounds = [float(phi_enclosure(Fraction(0), n)[1]) for n in (6, 8, 10)]
+        assert [f"{b:.1e}" for b in bounds] == ["9.5e-11", "4.0e-17", "7.0e-25"]
+
+
 class TestPhiExact:
     @pytest.mark.parametrize(
         "t,expected",

@@ -1,6 +1,7 @@
 """Spectral paths: products, series, Fourier synthesis, lattice identities."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from fabius.spectral import (
     transform_series,
     translate_sum,
 )
+from test_exact import phi_enclosure
 
 
 def translate_sum_synthesis(t: float, u: float) -> float:
@@ -158,6 +160,23 @@ class TestPhiFourier:
             for q in range(-32, 33)
         )
         assert worst <= 1e-10
+
+    # phi_enclosure at n = 10 pins phi within 7e-25, so these compare the
+    # synthesis with phi itself off the q/32 grid, where aliased terms
+    # (2k + 1 = 11 and 75, say) no longer take equal values
+    def test_off_grid_doubles(self, fc):
+        rng = random.Random(20261019)
+        for _ in range(2000):
+            t = rng.uniform(-1.0, 1.0)
+            value, bound = phi_enclosure(Fraction(t), 10)
+            assert abs(phi_fourier(t, fc) - float(value)) + float(bound) <= 1e-10
+
+    @pytest.mark.parametrize("den", [3, 5, 7])
+    def test_non_dyadic_rationals(self, fc, den):
+        for k in range(1 - den, den):
+            t = k / den
+            value, bound = phi_enclosure(Fraction(t), 10)
+            assert abs(phi_fourier(t, fc) - float(value)) + float(bound) <= 1e-10
 
 
 class TestLatticeIdentities:

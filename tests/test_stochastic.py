@@ -20,6 +20,7 @@ from fabius.stochastic import (
     _block_hits,
     mc_phi,
 )
+from test_exact import phi_enclosure
 
 SEED = 1234
 
@@ -269,6 +270,13 @@ class TestAgreement:
         assert phi_exact(Dyadic.from_fraction(Fraction(x))) == target
         est = mc_phi(x, 200_000, 40, SEED)
         assert abs(est.estimate - float(target)) <= 4 * est.stderr
+
+    @pytest.mark.parametrize("x", [-1 / 3, -0.3, -0.123456789])
+    def test_matches_enclosure_off_grid(self, x):
+        value, bound = phi_enclosure(Fraction(x), 10)
+        est = mc_phi(x, 1_000_000, 40, SEED)
+        error = abs(est.estimate - float(value)) + float(bound)
+        assert error <= 4 * est.stderr + est.bias_bound
 
     def test_monotone_under_common_random_numbers(self):
         estimates = [
