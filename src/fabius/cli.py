@@ -6,16 +6,17 @@ are always strings.  Floats print with 17 significant digits so they
 round-trip.  Exit codes: 0 success, 1 usage error (or a reader that closed
 stdout early), 2 internal integrity violation (or selftest failure).
 
-Environment defaults (flags win): FABIUS_M_MAX for the product truncation,
-FABIUS_FOURIER_K for the synthesis length, FABIUS_TABLE_MAX for the largest
-level ``table`` accepts and the largest level ``eval`` will scan to find the
-minimal common denominator.  ``eval``, ``deriv`` and ``taylor`` accept
-levels up to the fixed ``MAX_LEVEL``, ``taylor`` orders up to
-``exact.MAX_TAYLOR_ORDER``, ``approx`` up to ``MAX_APPROX_LEVEL``, ``coeffs``
-counts up to ``MAX_COEFFS``, and ``eval-float --grid`` as well
-as the ``--max-level`` of ``eval`` and ``table`` (and so
-FABIUS_TABLE_MAX) up to ``MAX_GRID_LEVEL``.  The synthesis length is capped
-at ``MAX_FOURIER_K`` and the product truncation at ``MAX_M_MAX``.
+Settings come from flags only: ``--m-max`` for the product truncation,
+``--fourier-k`` (the K of ``fourier-coeffs``) for the synthesis length, both
+defaulting to ``spectral``'s, and ``--max-level`` (default
+``DEFAULT_MAX_LEVEL``) for the largest level ``table`` accepts and the
+largest level ``eval`` will scan to find the minimal common denominator.
+``eval``, ``deriv`` and ``taylor`` accept levels up to the fixed
+``MAX_LEVEL``, ``taylor`` orders up to ``exact.MAX_TAYLOR_ORDER``, ``approx``
+up to ``MAX_APPROX_LEVEL``, ``coeffs`` counts up to ``MAX_COEFFS``, and
+``eval-float --grid`` as well as ``--max-level`` up to ``MAX_GRID_LEVEL``.
+The synthesis length is capped at ``MAX_FOURIER_K`` and the product
+truncation at ``MAX_M_MAX``.
 
 Each command imports only the layers it runs: the exact commands never load
 ``spectral``, ``stochastic``, ``approximants`` or ``json``.
@@ -58,6 +59,10 @@ MAX_APPROX_LEVEL = 16
 # eval-float --grid L prints 2^(L+1) + 1 rows; L = 14 takes about 0.65 s.  It
 # also caps the level scan of eval and table, whose cost doubles per level.
 MAX_GRID_LEVEL = 14
+# Default --max-level; table 12 takes about 0.1 s.  A table has 2^n + 1 rows,
+# so each further level doubles the output, and scripts and tests rely on
+# table 13 being a usage error.
+DEFAULT_MAX_LEVEL = 12
 # coeffs G 300 takes about 1 s and coeffs c 300 about 3.5 s, half of it in
 # turning the values into decimal strings.
 MAX_COEFFS = 300
@@ -80,30 +85,17 @@ def _float_str(x: float) -> str:
     return format(x, ".17g")
 
 
-def _env_int(name: str, default: int | None = None) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"invalid {name}={raw!r}") from None
-
-
 def _max_level(args) -> int:
     """The scan cap of eval and table, rejected outside 0..``MAX_GRID_LEVEL``."""
     if not 0 <= args.max_level <= MAX_GRID_LEVEL:
-        raise ValueError(
-            f"--max-level (or FABIUS_TABLE_MAX) must be at most {MAX_GRID_LEVEL}"
-            " and at least 0"
-        )
+        raise ValueError(f"--max-level must be at most {MAX_GRID_LEVEL} and at least 0")
     return args.max_level
 
 
 def _point(args) -> Dyadic:
-    """The canonical q/2^n of ``args``, rejected above the level caps before any work."""
-    if args.n > 2 * MAX_LEVEL:
-        raise ValueError(f"level as given must be at most {2 * MAX_LEVEL}")
+    """The canonical q/2^n of ``args``, rejected outside the level caps before any work."""
+    if not 0 <= args.n <= 2 * MAX_LEVEL:
+        raise ValueError(f"level as given must be at most {2 * MAX_LEVEL} and at least 0")
     t = Dyadic(args.q, args.n)
     if t.exp > MAX_LEVEL:
         raise ValueError(f"level must be in 0..{MAX_LEVEL}")
@@ -118,9 +110,9 @@ def _fourier_args(args) -> tuple[int, int]:
     k = DEFAULT_FOURIER_K if args.fourier_k is None else args.fourier_k
     m_max = DEFAULT_M_MAX if args.m_max is None else args.m_max
     if k > MAX_FOURIER_K:
-        raise ValueError(f"Fourier K (or FABIUS_FOURIER_K) must be at most {MAX_FOURIER_K}")
+        raise ValueError(f"Fourier K must be at most {MAX_FOURIER_K}")
     if m_max > MAX_M_MAX:
-        raise ValueError(f"--m-max (or FABIUS_M_MAX) must be at most {MAX_M_MAX}")
+        raise ValueError(f"--m-max must be at most {MAX_M_MAX}")
     return k, m_max
 
 
@@ -397,29 +389,23 @@ def build_parser() -> _Parser:
     parser.add_argument("--json", action="store_true", help="emit one JSON object")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    table_max_default = _env_int("FABIUS_TABLE_MAX", 12)
-    # parsed here so that a bad value fails every command; None (unset) is
-    # resolved to spectral's default by the commands that synthesize
-    m_max_default = _env_int("FABIUS_M_MAX")
-    fourier_k_default = _env_int("FABIUS_FOURIER_K")
-
     p = sub.add_parser("eval", help="exact phi(q/2^n)")
     p.add_argument("q", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--max-level", type=int, default=table_max_default)
+    p.add_argument("--max-level", type=int, default=DEFAULT_MAX_LEVEL)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("eval-float", help="float phi(t) via Fourier synthesis")
     p.add_argument("t", type=float, nargs="?", default=0.0)
     p.add_argument("--grid", type=int, default=None, metavar="LEVEL",
                    help="emit CSV over the dyadic grid q/2^LEVEL instead")
-    p.add_argument("--fourier-k", type=int, default=fourier_k_default)
-    p.add_argument("--m-max", type=int, default=m_max_default)
+    p.add_argument("--fourier-k", type=int, default=None)
+    p.add_argument("--m-max", type=int, default=None)
     p.set_defaults(func=_cmd_eval_float)
 
     p = sub.add_parser("table", help="scaled value table for one level")
     p.add_argument("n", type=int)
-    p.add_argument("--max-level", type=int, default=table_max_default)
+    p.add_argument("--max-level", type=int, default=DEFAULT_MAX_LEVEL)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("coeffs", help="coefficient sequence dump")
@@ -444,8 +430,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_approx)
 
     p = sub.add_parser("fourier-coeffs", help="cosine synthesis coefficients")
-    p.add_argument("fourier_k", type=int, nargs="?", default=fourier_k_default)
-    p.add_argument("--m-max", type=int, default=m_max_default)
+    p.add_argument("fourier_k", type=int, nargs="?", default=None)
+    p.add_argument("--m-max", type=int, default=None)
     p.set_defaults(func=_cmd_fourier_coeffs)
 
     p = sub.add_parser("mc", help="Monte Carlo estimate of phi(x), x in [-1,0]")
@@ -480,7 +466,7 @@ def main(argv=None) -> int:
         return 1  # the status the uncaught exception gave
     except SystemExit as exc:  # argparse has printed its message
         return exc.code
-    except ValueError as exc:  # also a bad FABIUS_* value
+    except ValueError as exc:
         print(f"fabius: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ArithmeticError as exc:

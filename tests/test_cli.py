@@ -102,13 +102,6 @@ class TestTable:
         assert code == 0
         assert json.loads(out)["payload"]["level"] == 3
 
-    def test_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("FABIUS_TABLE_MAX", "2")
-        code, _, err = run_cli(capsys, "table", "3")
-        assert code == 1
-        code, _, _ = run_cli(capsys, "table", "2")
-        assert code == 0
-
 
 class TestCoeffs:
     def test_integer_numerators_line_format(self, capsys):
@@ -224,6 +217,15 @@ class TestLevelCap:
         assert out == ""
         assert "level as given must be at most 256" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("eval", "5", "-1"), ("deriv", "2", "3", "-2"), ("taylor", "3", "-2", "2")]
+    )
+    def test_negative_level_rejected_before_any_work(self, capsys, monkeypatch, argv):
+        self._forbid_work(monkeypatch)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "fabius: error: level as given must be at most 256 and at least 0\n"
+
     def test_cap_is_read_at_call_time(self, capsys, monkeypatch):
         monkeypatch.setattr("fabius.cli.MAX_LEVEL", 3)
         self._forbid_work(monkeypatch)
@@ -320,48 +322,23 @@ class TestInputCaps:
         code, out, err = run_cli(capsys, *argv, "--max-level", "15")
         assert code == 1
         assert out == ""
-        assert "--max-level (or FABIUS_TABLE_MAX) must be at most 14" in err
+        assert "--max-level must be at most 14" in err
 
     @pytest.mark.parametrize("argv", [("eval", "1", "3"), ("table", "3")])
-    def test_scan_level_env(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("FABIUS_TABLE_MAX", "15")
+    def test_scan_level_negative(self, capsys, monkeypatch, argv):
         forbid(
             monkeypatch,
             "fabius.cli.level_values",
             "fabius.cli._level_numerators",
             "fabius.cli.phi_exact",
         )
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv, "--max-level", "-1")
         assert code == 1
         assert out == ""
-        assert "must be at most 14" in err
+        assert "--max-level must be at most 14 and at least 0" in err
 
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    @pytest.mark.parametrize("argv", [("eval", "1", "3"), ("table", "3")])
-    def test_scan_level_negative(self, capsys, monkeypatch, argv, source):
-        if source == "flag":
-            argv = (*argv, "--max-level", "-1")
-        else:
-            monkeypatch.setenv("FABIUS_TABLE_MAX", "-1")
-        forbid(
-            monkeypatch,
-            "fabius.cli.level_values",
-            "fabius.cli._level_numerators",
-            "fabius.cli.phi_exact",
-        )
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert "--max-level (or FABIUS_TABLE_MAX) must be at most 14 and at least 0" in err
-
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_scan_level_zero(self, capsys, monkeypatch, source):
-        argv = ("table", "0")
-        if source == "flag":
-            argv = (*argv, "--max-level", "0")
-        else:
-            monkeypatch.setenv("FABIUS_TABLE_MAX", "0")
-        code, out, _ = run_cli(capsys, *argv)
+    def test_scan_level_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "0", "--max-level", "0")
         assert (code, out) == (0, "0\t1\t1\n1\t0\t0\n")
 
 
@@ -477,8 +454,8 @@ class TestFourierAndFloat:
         ]
 
 
-M_MAX_CAP = "--m-max (or FABIUS_M_MAX) must be at most 1023"
-K_CAP = "Fourier K (or FABIUS_FOURIER_K) must be at most 1024"
+M_MAX_CAP = "--m-max must be at most 1023"
+K_CAP = "Fourier K must be at most 1024"
 
 
 class TestFourierInput:
@@ -490,15 +467,22 @@ class TestFourierInput:
             "fabius.cli.phi_exact",
         )
 
-    @pytest.mark.parametrize("name", ["FABIUS_M_MAX", "FABIUS_FOURIER_K", "FABIUS_TABLE_MAX"])
-    def test_bad_env_value_is_a_usage_error(self, capsys, monkeypatch, name):
-        # every command parses the environment, also those that ignore it
-        monkeypatch.setenv(name, "abc")
-        self._forbid_work(monkeypatch)
-        code, out, err = run_cli(capsys, "eval", "1", "3")
-        assert code == 1
-        assert out == ""
-        assert err == f"fabius: error: invalid {name}='abc'\n"
+    def test_stray_env_variables_change_nothing(self, capsys, monkeypatch):
+        # flags are the only settings, so no FABIUS_* value changes an output
+        argvs = [
+            ("table", "5"),
+            ("table", "12"),
+            ("eval", "5", "12"),
+            ("--json", "fourier-coeffs", "4"),
+        ]
+        clean = [run_cli(capsys, *argv)[:2] for argv in argvs]
+        assert [code for code, _ in clean] == [0] * len(argvs)
+        monkeypatch.setenv("FABIUS_M_MAX", "abc")
+        monkeypatch.setenv("FABIUS_FOURIER_K", "0")
+        monkeypatch.setenv("FABIUS_TABLE_MAX", "2")
+        assert [run_cli(capsys, *argv)[:2] for argv in argvs] == clean
+        payload = json.loads(clean[-1][1])["payload"]
+        assert (payload["m_max"], payload["K"]) == (DEFAULT_M_MAX, 4)
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -518,36 +502,18 @@ class TestFourierInput:
         assert out == ""
         assert err == f"fabius: error: {message}\n"
 
-    @pytest.mark.parametrize(
-        "name,value,message",
-        [
-            ("FABIUS_M_MAX", "1024", M_MAX_CAP),
-            ("FABIUS_FOURIER_K", "1025", K_CAP),
-        ],
-    )
-    @pytest.mark.parametrize("argv", [("fourier-coeffs",), ("eval-float", "0.3")])
-    def test_env_caps_rejected_before_any_work(
-        self, capsys, monkeypatch, name, value, message, argv
-    ):
-        monkeypatch.setenv(name, value)
-        self._forbid_work(monkeypatch)
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert err == f"fabius: error: {message}\n"
-
     def test_largest_accepted_values(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "fourier-coeffs", "1024", "--m-max", "1023")
         assert code == 0
         payload = json.loads(out)["payload"]
         assert (payload["K"], payload["m_max"], len(payload["a"])) == (1024, 1023, 1024)
 
-    @pytest.mark.parametrize("env,m_max", [(None, DEFAULT_M_MAX), ("20", 20)])
-    def test_json_reports_resolved_m_max(self, capsys, monkeypatch, env, m_max):
-        monkeypatch.delenv("FABIUS_M_MAX", raising=False)
-        if env is not None:
-            monkeypatch.setenv("FABIUS_M_MAX", env)
-        code, out, _ = run_cli(capsys, "--json", "fourier-coeffs", "4")
+    @pytest.mark.parametrize("flag,m_max", [(None, DEFAULT_M_MAX), ("20", 20)])
+    def test_json_reports_resolved_m_max(self, capsys, flag, m_max):
+        argv = ("--json", "fourier-coeffs", "4")
+        if flag is not None:
+            argv = (*argv, "--m-max", flag)
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         payload = json.loads(out)["payload"]
         assert payload["m_max"] == m_max
