@@ -152,19 +152,8 @@ def level_denominator(n: int) -> int:
 
 def render_table(n: int) -> list[str]:
     """Rows ``q<TAB>D*phi(q/2^n)<TAB>phi(q/2^n)`` with D the minimal level denominator."""
-    return _table_rows(*_level_numerators(n))
-
-
-def _table_rows(numerators: list[int], d: int) -> list[str]:
-    return [
-        f"{q}\t{v}\t{Fraction(v, d)}" for q, v in enumerate(numerators)
-    ]
-
-
-def _as_int(value: Fraction) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"expected an integer, got {value}")
-    return value.numerator
+    numerators, d = _level_numerators(n)
+    return [f"{q}\t{v}\t{Fraction(v, d)}" for q, v in enumerate(numerators)]
 
 
 def _cmd_eval(args) -> int:
@@ -176,7 +165,9 @@ def _cmd_eval(args) -> int:
     else:
         # beyond the scan cap: valid but possibly non-minimal
         d = level_denominator_bound(args.n)
-    scaled = _as_int(value * d)
+    scaled = value * d
+    if scaled.denominator != 1:
+        raise ArithmeticError(f"expected an integer, got {scaled}")
     _emit(
         args,
         "exact",
@@ -194,13 +185,13 @@ def _cmd_eval(args) -> int:
 def _cmd_eval_float(args) -> int:
     if args.grid is not None and not 0 <= args.grid <= MAX_GRID_LEVEL:
         raise ValueError(f"grid level must be in 0..{MAX_GRID_LEVEL}")
+    if args.grid is None and not isfinite(args.t):
+        raise ValueError("eval-float T must be finite")
     k, m_max = _fourier_args(args)
     from . import spectral
 
     fc = spectral.fourier_coefficients(K=k, m_max=m_max)
     if args.grid is None:
-        if not isfinite(args.t):
-            raise ValueError("eval-float T must be finite")
         # the synthesis is 2-periodic; phi itself vanishes outside (-1, 1)
         value = spectral.phi_fourier(args.t, fc) if abs(args.t) < 1 else 0.0
         line = f"{_float_str(value)}\n"
@@ -243,14 +234,14 @@ def _cmd_table(args) -> int:
     max_level = _max_level(args)
     if not 0 <= args.n <= max_level:
         raise ValueError(f"table level must be in 0..{max_level}")
-    numerators, d = _level_numerators(args.n)
-    lines = _table_rows(numerators, d)
+    lines = render_table(args.n)
     _emit(
         args,
         "table",
         lambda: {
             "level": args.n,
-            "denominator": str(d),
+            # row q = 0 holds D*phi(0) = D
+            "denominator": lines[0].split("\t")[1],
             "rows": [line.split("\t") for line in lines],
         },
         (f"{line}\n" for line in lines),

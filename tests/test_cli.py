@@ -5,7 +5,6 @@ import random
 import sys
 from argparse import Namespace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -22,8 +21,6 @@ from fabius.spectral import (
 )
 from test_approximants import plateau_interval
 from test_core import parse_dyadic
-
-GOLDEN = Path(__file__).parent / "data" / "table_n5_golden.txt"
 
 
 def run_cli(capsys, *argv):
@@ -85,11 +82,6 @@ class TestEval:
 
 
 class TestTable:
-    def test_golden_level5_bytes(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "5")
-        assert code == 0
-        assert out == GOLDEN.read_text()
-
     def test_level1(self, capsys):
         code, out, _ = run_cli(capsys, "table", "1")
         assert out.splitlines() == ["0\t2\t1", "1\t1\t1/2", "2\t0\t0"]
@@ -411,7 +403,8 @@ class TestFourierAndFloat:
         assert out.strip() == "0"
 
     @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
-    def test_float_rejects_non_finite(self, capsys, t):
+    def test_float_rejects_non_finite(self, capsys, monkeypatch, t):
+        forbid(monkeypatch, "fabius.spectral.fourier_coefficients")
         code, out, err = run_cli(capsys, "eval-float", "--", t)
         assert code == 1
         assert out == ""
@@ -535,6 +528,25 @@ class TestEmit:
 
         _emit(Namespace(json=True), "m", lambda: [1, "x"], lines())
         assert json.loads(capsys.readouterr().out) == {"mode": "m", "payload": [1, "x"]}
+
+
+class TestIntegrityViolation:
+    # a result that breaks an exactness invariant exits 2 with nothing on stdout
+    def test_eval_non_integer_level_numerator(self, capsys, monkeypatch):
+        monkeypatch.setattr("fabius.cli.level_denominator", lambda n: 3)
+        code, out, err = run_cli(capsys, "eval", "1", "2")
+        assert (code, out) == (2, "")
+        assert err == "fabius: integrity violation: expected an integer, got 67/24\n"
+
+    def test_coeffs_non_integer_numerator(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "fabius.cli.series_coefficients", lambda n: (Fraction(1), Fraction(1, 7))
+        )
+        code, out, err = run_cli(capsys, "coeffs", "F", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "fabius: integrity violation: F[1] is not a positive integer: 9/7\n"
+        )
 
 
 class TestConsoleScript:
