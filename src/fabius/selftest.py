@@ -1,16 +1,19 @@
 """Acceptance checks runnable in-process (the CLI ``selftest`` command).
 
-Each criterion returns a :class:`CriterionResult`; the pytest acceptance
-module wraps the same functions one test per criterion.  Tolerances are
-pinned here, not configurable.
+A criterion is a function decorated with ``@_criterion(name)`` that returns
+``(passed, detail)``.  The decorator numbers it by its place in this module,
+times it and wraps its verdict in a :class:`CriterionResult`, so calling a
+criterion returns that result.  The pytest acceptance module runs the same
+functions one test per criterion.  Tolerances are pinned here, not
+configurable.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import wraps
 from itertools import zip_longest
-from math import lcm
 from typing import NamedTuple
 
 from . import approximants, coefficients, exact, spectral, stochastic
@@ -56,11 +59,28 @@ class CriterionResult(NamedTuple):
         )
 
 
-def _result(index, name, start, passed, detail) -> CriterionResult:
-    return CriterionResult(index, name, passed, detail, time.perf_counter() - start)
+_CRITERIA = []
 
 
-def criterion_1_golden_table() -> CriterionResult:
+def _criterion(name):
+    """Register the decorated check as the next criterion."""
+    def register(check):
+        index = len(_CRITERIA) + 1
+
+        @wraps(check)
+        def run() -> CriterionResult:
+            start = time.perf_counter()
+            passed, detail = check()
+            return CriterionResult(index, name, passed, detail, time.perf_counter() - start)
+
+        _CRITERIA.append(run)
+        return run
+
+    return register
+
+
+@_criterion("level-5 golden table, byte-identical")
+def criterion_1_golden_table():
     from .cli import render_table  # local import: only this criterion uses the CLI
 
     start = time.perf_counter()
@@ -80,20 +100,20 @@ def criterion_1_golden_table() -> CriterionResult:
             detail = f"row count {len(lines)} != {len(expected)}"
         else:
             detail = f"first mismatch at q={bad}: got {lines[bad]!r}"
-    return _result(1, "level-5 golden table, byte-identical", start, ok, detail)
+    return ok, detail
 
 
-def criterion_2_integer_numerators() -> CriterionResult:
+@_criterion("integer numerators F[0..4]")
+def criterion_2_integer_numerators():
     start = time.perf_counter()
     F = coefficients.series_integer_numerators(coefficients.series_coefficients(4))
     expected = (1, 1, 19, 2915, 2788989)
     elapsed = time.perf_counter() - start
-    ok = F == expected and elapsed < 0.1
-    return _result(2, "integer numerators F[0..4]", start, ok, f"{F}, {elapsed:.4f}s")
+    return F == expected and elapsed < 0.1, f"{F}, {elapsed:.4f}s"
 
 
-def criterion_3_functional_equation() -> CriterionResult:
-    start = time.perf_counter()
+@_criterion("derivative functional equation on q/2^6")
+def criterion_3_functional_equation():
     bad = 0
     for q in range(-64, 65):
         t = Dyadic(q, 6)
@@ -103,14 +123,11 @@ def criterion_3_functional_equation() -> CriterionResult:
         )
         if lhs != rhs:
             bad += 1
-    return _result(
-        3, "derivative functional equation on q/2^6", start, bad == 0,
-        f"129 points, {bad} mismatches",
-    )
+    return bad == 0, f"129 points, {bad} mismatches"
 
 
-def criterion_4_reflection_evenness() -> CriterionResult:
-    start = time.perf_counter()
+@_criterion("reflection and evenness on q/2^10")
+def criterion_4_reflection_evenness():
     bad = 0
     for q in range(0, 1025):
         t = Dyadic(q, 10)
@@ -118,35 +135,28 @@ def criterion_4_reflection_evenness() -> CriterionResult:
             bad += 1
         if exact.phi_exact(t) != exact.phi_exact(-t):
             bad += 1
-    return _result(
-        4, "reflection and evenness on q/2^10", start, bad == 0,
-        f"1025 points, {bad} mismatches",
-    )
+    return bad == 0, f"1025 points, {bad} mismatches"
 
 
-def criterion_5_moment_routes() -> CriterionResult:
-    start = time.perf_counter()
-    ok = True
+@_criterion("moment route equality and phi(1-1/8) = 1/288")
+def criterion_5_moment_routes():
     details = []
     c = coefficients.series_coefficients(5)
-    for n in range(0, 11):
-        via_d = coefficients.moment(n)
-        if n % 2 == 0 and via_d != c[n // 2] / 2:
-            ok = False
+    for n in range(0, 11, 2):
+        if coefficients.moment(n) != c[n // 2] / 2:
             details.append(f"even-order mismatch at n={n}")
     lhs = coefficients.phi_near_one(3)
     rhs = coefficients.phi_near_one_from_series(1)
     if not (lhs == rhs == Fraction(1, 288)):
-        ok = False
         details.append(f"phi(1-2^-3): {lhs} vs {rhs}")
-    return _result(
-        5, "moment route equality and phi(1-1/8) = 1/288", start, ok,
-        "; ".join(details) if details else "orders 0..10 and both near-one routes agree",
+    return not details, (
+        "; ".join(details) if details
+        else "even orders 0..10 and both near-one routes agree"
     )
 
 
-def criterion_6_derivative_cascade() -> CriterionResult:
-    start = time.perf_counter()
+@_criterion("derivative cascade at odd q, n <= 6")
+def criterion_6_derivative_cascade():
     bad = 0
     points = 0
     for n in range(1, 7):
@@ -159,33 +169,29 @@ def criterion_6_derivative_cascade() -> CriterionResult:
             for k in range(n + 1, n + 11):
                 if exact.phi_derivative(k, t) != 0:
                     bad += 1
-    return _result(
-        6, "derivative cascade at odd q, n <= 6", start, bad == 0,
-        f"{points} centers, {bad} violations",
-    )
+    return bad == 0, f"{points} centers, {bad} violations"
 
 
-def criterion_7_spectral_agreement() -> CriterionResult:
-    start = time.perf_counter()
+# On q/128 no two of the 64 synthesis terms agree at every point (their
+# frequencies 2k + 1 < 128 differ modulo 256, also up to sign), so an error
+# moved between two terms shows; on q/32 terms k, k + 32 and 31 - k alias.
+@_criterion("Fourier synthesis matches exact values")
+def criterion_7_spectral_agreement():
     fc = spectral.fourier_coefficients(K=64, m_max=60)
-    worst = 0.0
-    for q in range(-32, 33):
-        err = abs(
-            spectral.phi_fourier(q / 32, fc) - float(exact.phi_exact(Dyadic(q, 5)))
-        )
-        worst = max(worst, err)
+    worst = max(
+        abs(spectral.phi_fourier(q / 128, fc) - float(exact.phi_exact(Dyadic(q, 7))))
+        for q in range(-128, 129)
+    )
     signs_ok = all(
         (fc[k] > 0) == (thue_morse_sign(k) > 0) for k in range(16)
     )
-    ok = worst <= 1e-10 and signs_ok
-    return _result(
-        7, "Fourier synthesis matches exact values", start, ok,
-        f"max err {worst:.2e}, first 16 signs {'ok' if signs_ok else 'WRONG'}",
+    return worst <= 1e-10 and signs_ok, (
+        f"max err {worst:.2e}, first 16 signs {'ok' if signs_ok else 'WRONG'}"
     )
 
 
-def criterion_8_step_convergence() -> CriterionResult:
-    start = time.perf_counter()
+@_criterion("step-function convergence")
+def criterion_8_step_convergence():
     problems = []
     envelope = []
     for m in range(3, 9):
@@ -218,10 +224,11 @@ def criterion_8_step_convergence() -> CriterionResult:
         "envelope " + ", ".join(f"{float(d):.6f}" for d in envelope)
         + ("; " + "; ".join(problems) if problems else "")
     )
-    return _result(8, "step-function convergence", start, not problems, detail)
+    return not problems, detail
 
 
-def criterion_9_monte_carlo() -> CriterionResult:
+@_criterion("Monte Carlo agreement and reproducibility")
+def criterion_9_monte_carlo():
     start = time.perf_counter()
     problems = []
     targets = {
@@ -241,14 +248,13 @@ def criterion_9_monte_carlo() -> CriterionResult:
     elapsed = time.perf_counter() - start
     if elapsed >= 30.0:
         problems.append(f"runtime {elapsed:.1f}s >= 30s")
-    return _result(
-        9, "Monte Carlo agreement and reproducibility", start, not problems,
-        "; ".join(problems) if problems else f"3 points within 4 stderr, {elapsed:.1f}s",
+    return not problems, (
+        "; ".join(problems) if problems else f"3 points within 4 stderr, {elapsed:.1f}s"
     )
 
 
-def criterion_10_lattice_identities() -> CriterionResult:
-    start = time.perf_counter()
+@_criterion("partition-of-unity and lattice identities")
+def criterion_10_lattice_identities():
     problems = []
     fc = spectral.fourier_coefficients()
     for n in (1, 2, 3):
@@ -262,25 +268,13 @@ def criterion_10_lattice_identities() -> CriterionResult:
         lhs, rhs = spectral.poisson_check(a)
         if abs(lhs - rhs) > 1e-8:
             problems.append(f"lattice identity a={a}: |{lhs} - {rhs}|")
-    return _result(
-        10, "partition-of-unity and lattice identities", start, not problems,
-        "; ".join(problems) if problems else "n in {1,2,3} and a in {1/2,3/4,1} agree",
+    return not problems, (
+        "; ".join(problems) if problems else "n in {1,2,3} and a in {1/2,3/4,1} agree"
     )
 
 
 def all_criteria():
-    return (
-        criterion_1_golden_table,
-        criterion_2_integer_numerators,
-        criterion_3_functional_equation,
-        criterion_4_reflection_evenness,
-        criterion_5_moment_routes,
-        criterion_6_derivative_cascade,
-        criterion_7_spectral_agreement,
-        criterion_8_step_convergence,
-        criterion_9_monte_carlo,
-        criterion_10_lattice_identities,
-    )
+    return tuple(_CRITERIA)
 
 
 def run_all(emit=print) -> list[CriterionResult]:

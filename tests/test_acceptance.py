@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from fabius import selftest
+from fabius import selftest, spectral
 
 GOLDEN = Path(__file__).parent / "data" / "table_n5_golden.txt"
 
@@ -12,6 +12,8 @@ GOLDEN = Path(__file__).parent / "data" / "table_n5_golden.txt"
 def test_criterion_1_golden_table():
     result = selftest.criterion_1_golden_table()
     print(result.line())
+    assert result.index == 1
+    assert selftest.criterion_1_golden_table.__name__.startswith("criterion_1_")
     # the committed fixture and the in-package transcription must agree
     fixture_rows = GOLDEN.read_text().splitlines()
     fixture_scaled = tuple(int(row.split("\t")[1]) for row in fixture_rows)
@@ -22,15 +24,31 @@ def test_criterion_1_golden_table():
     assert result.passed, result.detail
 
 
-LATER_CRITERIA = selftest.all_criteria()[1:]
+LATER_CRITERIA = list(enumerate(selftest.all_criteria()[1:], start=2))
 
 
 @pytest.mark.parametrize(
-    "check",
-    LATER_CRITERIA,
-    ids=[f"criterion_{i}" for i, _ in enumerate(LATER_CRITERIA, start=2)],
+    "i, check", LATER_CRITERIA, ids=[f"criterion_{i}" for i, _ in LATER_CRITERIA]
 )
-def test_criterion(check):
+def test_criterion(i, check):
     result = check()
     print(result.line())
+    assert result.index == i
+    assert check.__name__.startswith(f"criterion_{i}_")
     assert result.passed, result.detail
+
+
+def test_criterion_7_catches_aliased_error(monkeypatch):
+    # on q/32, synthesis terms 5 and 37 take equal values, so an error moved
+    # between them cancels there; criterion 7 must still see it
+    exact_coefficients = spectral.fourier_coefficients
+
+    def perturbed(*args, **kwargs):
+        fc = list(exact_coefficients(*args, **kwargs))
+        fc[5] += 1e-6
+        fc[37] -= 1e-6
+        return tuple(fc)
+
+    monkeypatch.setattr(spectral, "fourier_coefficients", perturbed)
+    result = selftest.criterion_7_spectral_agreement()
+    assert not result.passed, result.detail

@@ -1,9 +1,13 @@
 """Coefficient sequences, their integer normalizations, moments."""
 
+import ast
+import importlib
+import importlib.util
 import sys
 import threading
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,11 @@ from fabius.coefficients import (
 )
 
 N = 24
+
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+_spec = importlib.util.spec_from_file_location("tracer", PERFBENCH / "tracer.py")
+TRACER = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(TRACER)
 
 
 @pytest.fixture
@@ -224,14 +233,32 @@ class TestStore:
         assert_c_recurrence(assert_prefixes([c for c, _ in results.values()]))
         assert_d_recurrence(assert_prefixes([d for _, d in results.values()]))
 
-    @pytest.mark.parametrize(
-        "name", ["series_coefficients", "exp_moment_coefficients", "phi_near_one"]
-    )
+    # the benchmark's tracer reads cache_info() of these for its cache metrics
+    @pytest.mark.parametrize("name", TRACER.CACHED)
     def test_cache_info_kept(self, name):
-        # the benchmark's tracer (perfbench/tracer.py, CACHED) reads cache_info()
-        # of these three for its cache metrics
         info = getattr(coefficients, name).cache_info()
         assert info.maxsize is None or info.maxsize >= 1
+
+    def test_benchmark_names_resolve(self):
+        # a name the benchmark wraps or imports, deleted from fabius, would
+        # fail every benchmark run while the rest of tier-1 stays green
+        for layer, name in TRACER.TARGETS:
+            target = importlib.import_module(f"fabius.{layer}")
+            for part in name.split("."):
+                target = getattr(target, part)
+            assert callable(target), (layer, name)
+        checks = ast.parse((PERFBENCH / "checks.py").read_text())
+        imports = [
+            (node.module, alias.name)
+            for node in ast.walk(checks)
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("fabius")
+            for alias in node.names
+        ]
+        assert imports
+        for module, name in imports:
+            assert hasattr(importlib.import_module(module), name), (module, name)
+        golden = PERFBENCH.parent / "tests" / "data" / "table_n5_golden.txt"
+        assert golden.is_file()
 
 
 class TestCoefficientTable:
