@@ -13,7 +13,7 @@ converges to phi.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, pairwise, product
 from typing import NamedTuple
 
 from .core import Dyadic
@@ -79,37 +79,27 @@ class StepFunction(NamedTuple):
         return sum(self.values, Fraction(0)) / (1 << self.level)
 
     def is_unimodal(self) -> bool:
-        peak = max(self.values)
-        rising = True
-        prev = None
-        for v in self.values:
-            if prev is not None:
-                if rising and v < prev:
-                    rising = False
-                elif not rising and v > prev:
-                    return False
-            prev = v
-        return peak == 1
+        """Non-decreasing up to the first maximum, non-increasing from it, peak 1."""
+        v = self.values
+        i = v.index(max(v))
+        return (
+            all(a <= b for a, b in pairwise(v[: i + 1]))
+            and all(a >= b for a, b in pairwise(v[i:]))
+            and v[i] == 1
+        )
 
     def value_at(self, t: Dyadic | int | Fraction) -> Fraction:
         """Value at t: owning plateau's value, midpoint on interior edges, 0 outside."""
         if isinstance(t, Dyadic):
             t = t.to_fraction()
-        shifted = Fraction(t) * (1 << (self.level + 1)) + self.degree + 1
-        if shifted.denominator == 1 and shifted.numerator % 2 == 0:
-            right = shifted.numerator // 2
-            left = right - 1
-            left_in = 0 <= left <= self.degree
-            right_in = 0 <= right <= self.degree
-            if left_in and right_in:
-                return (self.values[left] + self.values[right]) / 2
-            if right_in:
-                return self.values[right]  # left support edge, included
-            return Fraction(0)  # right support edge and beyond
-        j = shifted // 2  # Fraction floor division -> int
-        if 0 <= j <= self.degree:
-            return self.values[j]
-        return Fraction(0)
+        # plateau j owns s in [2j, 2j + 2); s = 2j is its left edge
+        s = Fraction(t) * (1 << (self.level + 1)) + self.degree + 1
+        j = s // 2  # Fraction floor division -> int
+        if not 0 <= j <= self.degree:
+            return Fraction(0)
+        if s == 2 * j and j > 0:  # interior edge
+            return (self.values[j - 1] + self.values[j]) / 2
+        return self.values[j]  # the left support edge is included
 
 
 def plateau_numerators(n: int) -> tuple[tuple[int, ...], int]:

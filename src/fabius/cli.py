@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
 from math import isfinite
@@ -56,7 +55,7 @@ MAX_LEVEL = 128
 # approx M has degree 2^(M+1) - M - 2, and each further M costs about 4x;
 # M = 16 takes about 1 s.
 MAX_APPROX_LEVEL = 16
-# eval-float --grid L prints 2^(L+1) + 1 rows; L = 14 takes about 0.65 s.  It
+# eval-float --grid L prints 2^(L+1) + 1 rows; L = 14 took 0.42-0.60 s.  It
 # also caps the level scan of eval and table, whose cost doubles per level.
 MAX_GRID_LEVEL = 14
 # Default --max-level; table 12 takes about 0.1 s.  A table has 2^n + 1 rows,
@@ -73,12 +72,6 @@ MAX_FOURIER_K = 1024
 # Product truncation m_max: 2^m_max must convert to a float, so 1023 is the
 # largest; fourier-coeffs 1024 --m-max 1023 takes about 0.15 s.
 MAX_M_MAX = 1023
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _float_str(x: float) -> str:
@@ -114,20 +107,6 @@ def _fourier_args(args) -> tuple[int, int]:
     if m_max > MAX_M_MAX:
         raise ValueError(f"--m-max must be at most {MAX_M_MAX}")
     return k, m_max
-
-
-@contextmanager
-def _no_int_str_limit():
-    """Lift CPython's int-to-str digit limit: exact results may exceed it."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 def _emit(args, mode: str, payload, lines) -> None:
@@ -375,8 +354,8 @@ def _cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else INTEGRITY_ERROR
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="fabius", description=__doc__.splitlines()[0])
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="fabius", description=__doc__.splitlines()[0])
     parser.add_argument("--json", action="store_true", help="emit one JSON object")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -439,11 +418,14 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # CPython's int-to-str digit limit (0 when absent or already lifted):
+    # parsing keeps it, but exact results may exceed it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
-        # parsing keeps the limit; only computed results may be long
         args = build_parser().parse_args(argv)
-        with _no_int_str_limit():
-            status = args.func(args)
+        if limit:
+            sys.set_int_max_str_digits(0)
+        status = args.func(args)
         sys.stdout.flush()  # a closed pipe then raises here, not at exit
         return status
     except BrokenPipeError:
@@ -456,13 +438,17 @@ def main(argv=None) -> int:
             pass
         return 1  # the status the uncaught exception gave
     except SystemExit as exc:  # argparse has printed its message
-        return exc.code
+        # argparse exits 2 on a usage error, 0 after --help
+        return USAGE_ERROR if exc.code == 2 else exc.code
     except ValueError as exc:
         print(f"fabius: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ArithmeticError as exc:
         print(f"fabius: integrity violation: {exc}", file=sys.stderr)
         return INTEGRITY_ERROR
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

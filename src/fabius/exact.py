@@ -223,7 +223,7 @@ class TaylorPolynomial(NamedTuple):
 
 
 # taylor_at pads zeros above the degree, so time and memory grow linearly in
-# the order: taylor 1 3 1000000 took 0.8-1.2 s and 38 MB on a 2-vCPU VM.
+# the order: taylor 1 3 1000000 took 0.69-0.87 s and 38 MB on a 2-vCPU VM.
 MAX_TAYLOR_ORDER = 10**6
 
 

@@ -28,7 +28,9 @@ whose outcome is still open.  Every later term is >= 0, and a rounded
 add of a value >= 0 never lowers the running total, so a total above
 x + 1 is already a miss.  The later terms add less than 2^-k, and their
 rounding errors less than 2^-46, so a total at most x + 1 - ``_margin(k)``
-is already a hit.  Once only a handful of the chunk's samples are open,
+is already a hit.  The last term is decided by the same step, with x + 1
+itself as the bound: no sample is open after it, so the step counts the
+totals at most x + 1.  Once only a handful of the chunk's samples are open,
 phase 2 finishes each alone: it reads the double of term j of sample s
 from the same Philox at its stream position and adds it as the chunk
 would, until the sample is decided.  Each scaled term u * 2^-j is exact,
@@ -60,7 +62,8 @@ _CHUNK = 1 << 14
 # beyond about 53 terms.
 MAX_DEPTH = 64
 
-# First term after which a chunk looks for open samples, and the switch to
+# First term after which a chunk looks for open samples (at most the least
+# depth mc_phi accepts, so the last term is always checked), and the switch to
 # phase 2: once at most n >> _SCALAR_SHIFT of a chunk's n samples are open,
 # each is finished alone.  One scalar draw costs about 3 us and one whole
 # term of a full chunk about 0.15 ms; another term halves the open samples,
@@ -137,29 +140,25 @@ def _block_hits(x: float, seed: int, block_index: int, count: int, depth: int) -
         total = totals[: min(_CHUNK, count - start)]
         part = buffer[: len(total)]
         total[:] = 0.0
-        weight = 0.5
         for k in range(1, depth + 1):
             _seek(bits, state, (k - 1) * count + start)
             rng.random(out=part)
-            part *= weight
+            part *= 2.0**-k
             total += part
-            weight *= 0.5
-            if _FIRST_CHECK <= k < depth:
+            if k >= _FIRST_CHECK:
                 # above thr: a miss, since later terms never lower a total;
-                # at most low: a hit, since they add less than _margin(k)
-                low = thr - _margin(k)
+                # at most low: a hit, since they add less than _margin(k);
+                # after the last term none is open, and a total equal to
+                # thr is a hit (closed inequality; a measure-zero event)
+                low = thr - _margin(k) if k < depth else thr
                 open_ = (total > low) & (total <= thr)
                 if np.count_nonzero(open_) <= len(total) >> _SCALAR_SHIFT:
                     hits += int(np.count_nonzero(total <= low))
                     for s in np.flatnonzero(open_).tolist():
-                        sample = start + s
                         hits += _finish(
-                            float(total[s]), thr, bits, state, sample, count, k, depth
+                            float(total[s]), thr, bits, state, start + s, count, k, depth
                         )
                     break
-        else:
-            # boundary counted as a hit (closed inequality); measure-zero event
-            hits += int(np.count_nonzero(total <= thr))
     return hits
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from fabius import selftest, spectral
+from fabius import approximants, selftest, spectral
 
 GOLDEN = Path(__file__).parent / "data" / "table_n5_golden.txt"
 
@@ -52,3 +52,33 @@ def test_criterion_7_catches_aliased_error(monkeypatch):
     monkeypatch.setattr(spectral, "fourier_coefficients", perturbed)
     result = selftest.criterion_7_spectral_agreement()
     assert not result.passed, result.detail
+
+
+@pytest.mark.parametrize(
+    "edit,detail",
+    [
+        (lambda rows: rows[:-1], "row count 32 != 33"),
+        (lambda rows: rows[:3] + ["x"] + rows[4:], "first mismatch at q=3: got 'x'"),
+    ],
+    ids=["row-dropped", "row-replaced"],
+)
+def test_criterion_1_reports_mismatch(monkeypatch, edit, detail):
+    from fabius import cli
+
+    table = cli.render_table
+    monkeypatch.setattr(cli, "render_table", lambda n: edit(table(n)))
+    result = selftest.criterion_1_golden_table()
+    assert result.passed is False
+    assert result.detail == detail
+
+
+def test_criterion_8_reports_partition_mismatch(monkeypatch):
+    counts = approximants.restricted_partitions
+
+    def extra_count_at_3(m):
+        return counts(m) + (1,) if m == 3 else counts(m)
+
+    monkeypatch.setattr(approximants, "restricted_partitions", extra_count_at_3)
+    result = selftest.criterion_8_step_convergence()
+    assert result.passed is False
+    assert result.detail.endswith("partition count mismatch at n=3, r=12")

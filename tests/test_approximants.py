@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fabius.approximants import (
+    StepFunction,
     partition_polynomial,
     restricted_partitions,
     step_function,
@@ -177,6 +178,32 @@ class TestStepFunction:
             assert sf.values == sf.values[::-1]
             assert max(sf.values) == 1
             assert sf.value_at(Dyadic(0, 0)) == 1
+
+    @pytest.mark.parametrize(
+        "quarters",
+        [(1, 4, 1, 2), (2, 1, 4, 2), (1, 2, 1)],
+        ids=["dip-after-peak", "rise-after-fall", "peak-not-one"],
+    )
+    def test_not_unimodal(self, quarters):
+        values = tuple(Fraction(v, 4) for v in quarters)
+        assert StepFunction(level=1, values=values).is_unimodal() is False
+
+    def test_value_at_sweep_distinct_values(self):
+        # all values distinct, so reading a wrong neighbour shows
+        sf = StepFunction(level=2, values=tuple(Fraction(1, j + 2) for j in range(6)))
+        for j, v in enumerate(sf.values):
+            left, right = (e.to_fraction() for e in plateau_interval(sf, j))
+            for part in (Fraction(1, 8), Fraction(1, 2), Fraction(7, 8)):
+                assert sf.value_at(left + part * (right - left)) == v
+            if j > 0:  # interior edge: the midpoint of the two plateaus
+                midpoint = (sf.values[j - 1] + v) / 2
+                assert sf.value_at(Dyadic.from_fraction(left)) == midpoint
+        first = plateau_interval(sf, 0)[0]
+        last = plateau_interval(sf, sf.degree)[1]
+        assert sf.value_at(first) == sf.values[0]  # left support edge included
+        assert sf.value_at(last) == 0  # right support edge excluded
+        assert sf.value_at(first.to_fraction() - Fraction(1, 64)) == 0
+        assert sf.value_at(last.to_fraction() + Fraction(1, 64)) == 0
 
     def test_interior_edge_midpoint(self):
         sf = step_function(2)

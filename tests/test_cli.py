@@ -20,6 +20,7 @@ from fabius.spectral import (
     transform_product,
 )
 from test_approximants import plateau_interval
+from test_coefficients import assert_d_recurrence
 from test_core import parse_dyadic
 
 
@@ -110,6 +111,14 @@ class TestCoeffs:
     def test_moment_numerators(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "G", "3")
         assert [line.split("\t")[1] for line in out.splitlines()] == ["1", "1", "5", "84"]
+
+    def test_moment_series(self, capsys):
+        code, out, _ = run_cli(capsys, "coeffs", "d", "12")
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert [int(k) for k, _ in rows] == list(range(13))
+        assert_d_recurrence([Fraction(v) for _, v in rows])
+        code, out, _ = run_cli(capsys, "--json", "coeffs", "d", "12")
+        assert json.loads(out)["payload"] == {"which": "d", "values": [v for _, v in rows]}
 
 
 class TestDerivAndTaylor:
@@ -250,6 +259,42 @@ class TestIntStrLimit:
         assert code == 1
         assert "invalid int value" in err
         assert sys.get_int_max_str_digits() == limit
+
+
+def test_without_digit_limit_api(capsys, monkeypatch):
+    # interpreters before 3.10.7 have neither function
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    code, out, _ = run_cli(capsys, "eval", "1", "3")
+    assert (code, out) == (0, "287/288\n287/288\n")
+
+
+class TestExitStatus:
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: fabius")
+
+    def test_missing_command_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: fabius")
+        assert err.endswith(
+            "fabius: error: the following arguments are required: command\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("taylor", "1", "3", "-1"), "max_order must be >= 0"),
+            (("deriv", "-1", "1", "3"), "derivative order must be >= 0"),
+            (("fourier-coeffs", "0"), "K must be >= 1"),
+        ],
+    )
+    def test_library_rejection(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"fabius: error: {message}\n")
 
 
 class TestInputCaps:

@@ -85,6 +85,10 @@ class TestDyadic:
         d = Dyadic(num, exp)
         assert (d.num, d.exp) == (cnum, cexp)
 
+    def test_truth_is_nonzero(self):
+        assert bool(Dyadic(0, 5)) is False
+        assert bool(Dyadic(-3, 2)) is True
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             Dyadic(1, -1)
