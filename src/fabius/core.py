@@ -41,7 +41,7 @@ def canonical_dyadic(num: int, exp: int) -> tuple[int, int]:
     """num / 2^exp (exp >= 0) as the pair ``Dyadic`` stores: exp == 0 or num odd."""
     if num == 0:
         return 0, 0
-    shift = min(exp, (num & -num).bit_length() - 1)
+    shift = min(exp, val2(abs(num)))
     return num >> shift, exp - shift
 
 

@@ -57,10 +57,13 @@ __all__ = [
 ]
 
 
-def _weights(n: int) -> list[Fraction]:
-    # w_k = C(n, 2k) c_k / (n! 2^C(n+1,2)), the weight of exponent n - 2k
+def _weights(n: int) -> tuple[int, list[int]]:
+    # (d, [d w_k]) with w_k = C(n, 2k) c_k / (n! 2^C(n+1,2)) the weight of
+    # exponent n - 2k and d the lcm of the weights' denominators
     scale = factorial(n) << (n * (n + 1) // 2)
-    return [comb(n, 2 * k) * c / scale for k, c in enumerate(series_coefficients(n // 2))]
+    weights = [comb(n, 2 * k) * c / scale for k, c in enumerate(series_coefficients(n // 2))]
+    d = lcm(*(w.denominator for w in weights))
+    return d, [w.numerator * (d // w.denominator) for w in weights]
 
 
 def phi_exact_raw(q: int, n: int) -> Fraction:
@@ -76,15 +79,14 @@ def phi_exact_raw(q: int, n: int) -> Fraction:
     if abs(q) > (1 << n) or (abs(q) == (1 << n) and n > 0):
         raise ValueError("phi_exact_raw requires |q| < 2^n")
     top = q + (1 << n)  # h runs over 0 .. q + 2^n - 1
-    weights = _weights(n)
-    total = Fraction(0)
+    d, weights = _weights(n)
+    total = 0
     for h in range(top):
         base = 2 * (q - h) + (1 << (n + 1)) - 1
         sign = thue_morse_sign(h)
         for k, w in enumerate(weights):
-            term = w * base ** (n - 2 * k)
-            total += term if sign > 0 else -term
-    return total
+            total += sign * w * base ** (n - 2 * k)
+    return Fraction(total, d)
 
 
 # selftest criterion 4 (level 10) and the session workload (13..16) revisit
@@ -99,11 +101,9 @@ def _level_plan(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     its two halves gives B_{m+1}(y) = B_m(y) - B_m(y - 2^(m+1)); the leading
     terms cancel, so B_m has degree n - m (Prouhet).
     """
-    weights = _weights(n)
-    d = lcm(*(w.denominator for w in weights))
+    d, weights = _weights(n)
     p = [0] * (n + 1)
-    for k, w in enumerate(weights):
-        p[2 * k] = (w * d).numerator
+    p[::2] = weights
     blocks = [tuple(p)]
     for m in range(1, n + 1):
         g = p[:]  # Taylor shift g(y) = p(y - 2^m)
@@ -126,7 +126,7 @@ def _taylor_walk(q: int, n: int, order: int) -> list[int]:
         if top >> m & 1:
             y = 2 * (top - start) - 1
             p = list(blocks[m]) if order else blocks[m]
-            sign = -1 if start.bit_count() & 1 else 1
+            sign = thue_morse_sign(start)
             last = min(order, n - m)
             for k in range(last):
                 for i in range(1, len(p)):  # divide by (x - y), remainder last
@@ -187,7 +187,7 @@ def level_denominator_bound(n: int) -> int:
     """
     if n < 0:
         raise ValueError("level n must be >= 0")
-    return lcm(*(w.denominator for w in _weights(n)))
+    return _weights(n)[0]
 
 
 def phi_derivative(k: int, t: Dyadic | int | Fraction) -> Fraction:

@@ -10,9 +10,11 @@ from Philox keyed by (seed, i), so the estimate depends only on
 
 The blocks of one run are split into stripes over one worker per available
 CPU, never more workers than blocks: the calling thread works the first
-stripe and a plain thread each of the others.  numpy releases the GIL
-inside the draws and the array arithmetic, and the integer hit counts add
-up to the same total in any order.
+stripe and a plain thread each of the others.  A stripe that fails records
+its error and stops; the first error recorded is raised once every stripe
+has stopped.  numpy releases the GIL inside the draws and the array
+arithmetic, and the integer hit counts add up to the same total in any
+order.
 
 A block runs chunk by chunk: each chunk of ``_CHUNK`` samples goes
 through all of its terms before the next chunk starts, so a worker holds
@@ -211,24 +213,19 @@ def mc_phi(x: float, samples: int, depth: int = 40, seed: int = 0) -> McEstimate
     errors = []
 
     def work(stripe: int) -> None:
-        for block in range(stripe, blocks, workers):
-            count = min(BLOCK_SIZE, samples - block * BLOCK_SIZE)
-            hits[stripe] += _block_hits(x, seed, block, count, depth)
-
-    def helper(stripe: int) -> None:
         try:
-            work(stripe)
-        except BaseException as exc:  # re-raised by the calling thread
+            for block in range(stripe, blocks, workers):
+                count = min(BLOCK_SIZE, samples - block * BLOCK_SIZE)
+                hits[stripe] += _block_hits(x, seed, block, count, depth)
+        except BaseException as exc:  # raised once every stripe has stopped
             errors.append(exc)
 
-    threads = [threading.Thread(target=helper, args=(w,)) for w in range(1, workers)]
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
     for thread in threads:
         thread.start()
-    try:
-        work(0)
-    finally:
-        for thread in threads:
-            thread.join()
+    work(0)
+    for thread in threads:
+        thread.join()
     if errors:
         raise errors[0]
     p = sum(hits) / samples

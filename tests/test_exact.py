@@ -50,9 +50,7 @@ def thue_morse_level(n: int) -> tuple[int, list[int]]:
     pass v[j] -= v[j - 2^i] per factor turns g into every numerator.
     g comes from n forward differences of its first n + 1 values.
     """
-    weights = _weights(n)
-    d = lcm(*(w.denominator for w in weights))
-    coeffs = [int(w * d) for w in weights]
+    d, coeffs = _weights(n)
     diffs = [
         sum(c * (2 * j + 1) ** (n - 2 * k) for k, c in enumerate(coeffs))
         for j in range(n + 1)
@@ -182,7 +180,7 @@ class TestRawFormula:
     def test_differential_vs_folded_path(self):
         # raw formula on its own, against the optimized evaluator, including
         # negative and non-canonical (even) numerators
-        for n in range(0, 7):
+        for n in range(0, 9):
             for q in range(-(1 << n) + 1, 1 << n):
                 assert phi_exact_raw(q, n) == phi_exact(Fraction(q, 1 << n)), (q, n)
 
@@ -190,9 +188,9 @@ class TestRawFormula:
         with pytest.raises(ValueError):
             phi_exact_raw(4, 2)
 
-    def test_sampled_points_levels_7_8(self):
+    def test_sampled_points_levels_9_12(self):
         rng = random.Random(7)
-        for n in (7, 8):
+        for n in (9, 10, 11, 12):
             for q in rng.sample(range(-(1 << n) + 1, 1 << n), 12):
                 assert phi_exact_raw(q, n) == phi_exact(Dyadic(q, n)), (q, n)
 
@@ -201,7 +199,8 @@ class TestBlockEvaluator:
     def test_block_polynomials_against_brute_force(self):
         for n in range(8):
             d, blocks = _level_plan(n)
-            weights = _weights(n)
+            weights_d, weights = _weights(n)
+            assert weights_d == d, n
             for m in range(n + 1):
                 block = blocks[m]
                 assert len(block) == n - m + 1 and block[0] != 0, (n, m)
@@ -209,7 +208,7 @@ class TestBlockEvaluator:
                     horner = 0
                     for c in block:
                         horner = horner * y + c
-                    literal = d * sum(
+                    literal = sum(
                         thue_morse_sign(h) * w * (y - 2 * h) ** (n - 2 * k)
                         for h in range(1 << m)
                         for k, w in enumerate(weights)
@@ -223,7 +222,10 @@ class TestBlockEvaluator:
             return 2 * scale / factorial(n - 2 * k) * phi_near_one(2 * k + 1)
 
         for n in [*range(41), 64, 128]:
-            assert _weights(n) == [moment_route(n, k) for k in range(n // 2 + 1)], n
+            route = [moment_route(n, k) for k in range(n // 2 + 1)]
+            d, weights = _weights(n)
+            assert d == lcm(*(w.denominator for w in route)), n
+            assert [Fraction(w, d) for w in weights] == route, n
 
     @staticmethod
     def _deep_points():

@@ -140,6 +140,35 @@ class TestParallelBlocks:
             mc_phi(-0.5, 4 * BLOCK_SIZE, 8, SEED)
         assert threading.active_count() == before
 
+    def test_calling_thread_error_is_raised(self, monkeypatch):
+        class Boom(RuntimeError):
+            pass
+
+        done = []
+
+        def block_hits(x, seed, block_index, count, depth):
+            # with 2 workers, even blocks belong to the calling thread; block 0
+            # fails at once while the helper is still working its stripe
+            if block_index == 0:
+                raise Boom
+            time.sleep(0.05)
+            done.append(block_index)
+            return 0
+
+        before = threading.active_count()
+        _patch_cpus(monkeypatch, 2)
+        monkeypatch.setattr(stochastic, "_block_hits", block_hits)
+        with pytest.raises(Boom):
+            mc_phi(-0.5, 4 * BLOCK_SIZE, 8, SEED)
+        assert done == [1, 3]  # raised only after the helper's stripe ended
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+    def test_cpus_without_affinity(self, monkeypatch, count, cpus):
+        monkeypatch.delattr(stochastic.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(stochastic.os, "cpu_count", lambda: count)
+        assert stochastic._cpus() == cpus
+
 
 class TestTwoPhaseKernel:
     # Phase 1 stops drawing a sample once its total is above thr = x + 1
