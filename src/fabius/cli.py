@@ -180,7 +180,7 @@ def _cmd_eval_float(args) -> int:
     values = level_values(level)
     # Rows q and -q share one synthesis: (2k+1)*pi*(-t) is exactly
     # -((2k+1)*pi*t) and cos is even, so both sums are bit-identical, and
-    # q/2^level is the double float(Dyadic(q, level)).
+    # q / (1 << level) is q/2^level rounded once to the nearest double.
     synth = [spectral.phi_fourier(q / (1 << level), fc) for q in range(len(values))]
     exact = [str(v) for v in values]
     err = [abs(a - float(v)) for a, v in zip(synth, values)]

@@ -3,7 +3,8 @@
 Dyadic rationals q/2^n form the evaluation grid of the whole package.  They
 are kept as an explicit (numerator, exponent) pair, distinct from general
 rationals, so that level-indexed algorithms never have to re-derive n from a
-denominator; their comparisons and arithmetic go through the equal Fraction.
+denominator; their equality, hash and arithmetic go through the equal
+Fraction.
 General exact rationals are plain ``fractions.Fraction`` values, which
 already guarantee the canonical form this package relies on (positive
 denominator, fully reduced); their ``str`` is the package's text form, which
@@ -15,7 +16,6 @@ exact evaluator's blocks and of the Fourier coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 
 __all__ = [
     "Dyadic",
@@ -45,14 +45,15 @@ def canonical_dyadic(num: int, exp: int) -> tuple[int, int]:
     return num >> shift, exp - shift
 
 
-@total_ordering
 class Dyadic:
     """An exact dyadic rational num / 2^exp in canonical form.
 
     Canonical means exp == 0 or num is odd; the constructor normalizes, so
-    two equal values always have identical (num, exp) pairs.  Comparisons,
-    the hash and arithmetic go through the equal Fraction; + and * take
-    Dyadic or int operands.  Instances are immutable and thread-safe.
+    two equal values always have identical (num, exp) pairs.  A Dyadic
+    equals and hashes as the equal Fraction or int; it adds and subtracts
+    with a Dyadic or int on either side, negates and scales by powers of
+    two.  Ordering, products, abs and float go through ``to_fraction()``.
+    Instances are immutable and thread-safe.
     """
 
     __slots__ = ("_num", "_exp")
@@ -102,16 +103,8 @@ class Dyadic:
             return self.to_fraction() == _rational(other)
         return NotImplemented
 
-    def __lt__(self, other: Dyadic | int | Fraction) -> bool:
-        if isinstance(other, (Dyadic, int, Fraction)):
-            return self.to_fraction() < _rational(other)
-        return NotImplemented
-
     def __neg__(self) -> Dyadic:
         return Dyadic(-self._num, self._exp)
-
-    def __abs__(self) -> Dyadic:
-        return Dyadic(abs(self._num), self._exp)
 
     def __add__(self, other: Dyadic | int) -> Dyadic:
         if isinstance(other, (Dyadic, int)):
@@ -126,21 +119,11 @@ class Dyadic:
     def __rsub__(self, other: Dyadic | int) -> Dyadic:
         return (-self) + other
 
-    def __mul__(self, other: Dyadic | int) -> Dyadic:
-        if isinstance(other, (Dyadic, int)):
-            return Dyadic.from_fraction(self.to_fraction() * _rational(other))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def mul_pow2(self, k: int) -> Dyadic:
         """The value times 2^k, for any integer k."""
         if k >= 0:
             return Dyadic(self._num << k, self._exp)
         return Dyadic(self._num, self._exp - k)
-
-    def __float__(self) -> float:
-        return self._num / (1 << self._exp)
 
 
 def _rational(x: Dyadic | int | Fraction) -> int | Fraction:

@@ -10,9 +10,10 @@ from Philox keyed by (seed, i), so the estimate depends only on
 
 The blocks of one run are split into stripes over one worker per available
 CPU, never more workers than blocks: the calling thread works the first
-stripe and a plain thread each of the others.  A stripe that fails records
-its error and stops; the first error recorded is raised once every stripe
-has stopped.  numpy releases the GIL inside the draws and the array
+stripe and a plain thread each of the others.  A stripe that fails or is
+interrupted records its error and stops, and every other stripe stops
+before its next block; the first error recorded is raised once every
+stripe has stopped.  numpy releases the GIL inside the draws and the array
 arithmetic, and the integer hit counts add up to the same total in any
 order.
 
@@ -33,10 +34,11 @@ rounding errors less than 2^-46, so a total at most x + 1 - ``_margin(k)``
 is already a hit.  The last term is decided by the same step, with x + 1
 itself as the bound: no sample is open after it, so the step counts the
 totals at most x + 1.  Once only a handful of the chunk's samples are open,
-phase 2 finishes each alone: it reads the double of term j of sample s
-from the same Philox at its stream position and adds it as the chunk
-would, until the sample is decided.  Each scaled term u * 2^-j is exact,
-so the scalar sums equal the array sums bit for bit.
+phase 2 finishes each alone: it seeks the same Philox to the stream
+position of term j of sample s, draws that double through the same
+Generator and adds it as the chunk would, until the sample is decided.
+Each scaled term u * 2^-j is exact, so the scalar sums equal the array
+sums bit for bit.
 
 numpy is imported on the first block drawn, not with this module, so the
 exact commands that import the package never load it.
@@ -64,7 +66,7 @@ _CHUNK = 1 << 14
 # beyond about 53 terms.
 MAX_DEPTH = 64
 
-# First term after which a chunk looks for open samples (at most the least
+# First term after which a chunk looks for open samples (also the least
 # depth mc_phi accepts, so the last term is always checked), and the switch to
 # phase 2: once at most n >> _SCALAR_SHIFT of a chunk's n samples are open,
 # each is finished alone.  One scalar draw costs about 3 us and one whole
@@ -118,15 +120,6 @@ def _seek(bits, state, position: int) -> None:
         bits.random_raw(position % 4)
 
 
-def _stream_double(bits, state, position: int) -> float:
-    """The double ``Generator(bits).random`` draws at stream ``position``.
-
-    ``random`` keeps the top 53 bits of each word.
-    """
-    _seek(bits, state, position)
-    return (bits.random_raw() >> 11) * 2.0**-53
-
-
 def _block_hits(x: float, seed: int, block_index: int, count: int, depth: int) -> int:
     """Hits within one self-contained generator block."""
     import numpy as np
@@ -158,7 +151,7 @@ def _block_hits(x: float, seed: int, block_index: int, count: int, depth: int) -
                     hits += int(np.count_nonzero(total <= low))
                     for s in np.flatnonzero(open_).tolist():
                         hits += _finish(
-                            float(total[s]), thr, bits, state, start + s, count, k, depth
+                            float(total[s]), thr, rng, state, start + s, count, k, depth
                         )
                     break
     return hits
@@ -175,12 +168,13 @@ def _margin(k: int) -> float:
 
 
 def _finish(
-    total: float, thr: float, bits, state, s: int, count: int, k: int, depth: int
+    total: float, thr: float, rng, state, s: int, count: int, k: int, depth: int
 ) -> int:
     """1 if sample s, whose running total after term k is ``total``, hits."""
     for j in range(k + 1, depth + 1):
+        _seek(rng.bit_generator, state, (j - 1) * count + s)
         # u * 2^-j is exact, so this add rounds as the array add does
-        total += _stream_double(bits, state, (j - 1) * count + s) * 2.0**-j
+        total += rng.random() * 2.0**-j
         if total > thr or total <= thr - _margin(j):
             break
     return int(total <= thr)
@@ -202,8 +196,8 @@ def mc_phi(x: float, samples: int, depth: int = 40, seed: int = 0) -> McEstimate
         raise ValueError("mc_phi requires x in [-1, 0]")
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be in 1..{MAX_SAMPLES}")
-    if not 8 <= depth <= MAX_DEPTH:
-        raise ValueError(f"depth must be in 8..{MAX_DEPTH}")
+    if not _FIRST_CHECK <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be in {_FIRST_CHECK}..{MAX_DEPTH}")
     if not 0 <= seed < 1 << 64:
         raise ValueError("seed must fit in 64 bits")
     blocks = -(-samples // BLOCK_SIZE)
@@ -215,6 +209,8 @@ def mc_phi(x: float, samples: int, depth: int = 40, seed: int = 0) -> McEstimate
     def work(stripe: int) -> None:
         try:
             for block in range(stripe, blocks, workers):
+                if errors:  # another stripe failed or was interrupted
+                    return
                 count = min(BLOCK_SIZE, samples - block * BLOCK_SIZE)
                 hits[stripe] += _block_hits(x, seed, block, count, depth)
         except BaseException as exc:  # raised once every stripe has stopped

@@ -472,12 +472,12 @@ class TestFourierAndFloat:
         expected = []
         for q in range(-(1 << level), (1 << level) + 1):
             t = Dyadic(q, level)
-            approx = phi_fourier(float(t), fc)
+            approx = phi_fourier(float(t.to_fraction()), fc)
             exact = phi_exact(t)
             expected.append((t, approx, exact, abs(approx - float(exact))))
         _, out, _ = run_cli(capsys, "eval-float", "--grid", str(level))
         assert out.splitlines()[1:] == [
-            f"{float(t):.17g},{approx:.17g},{exact},{err:.17g}"
+            f"{float(t.to_fraction()):.17g},{approx:.17g},{exact},{err:.17g}"
             for t, approx, exact, err in expected
         ]
         _, out, _ = run_cli(capsys, "--json", "eval-float", "--grid", str(level))

@@ -118,14 +118,6 @@ class TestDyadic:
         x, y = Dyadic(a, ea), Dyadic(b, eb)
         assert (x + y).to_fraction() == x.to_fraction() + y.to_fraction()
         assert (x - y).to_fraction() == x.to_fraction() - y.to_fraction()
-        assert (x * y).to_fraction() == x.to_fraction() * y.to_fraction()
-        assert (x < y) == (x.to_fraction() < y.to_fraction())
-
-    def test_ordering_and_int_mixing(self):
-        assert Dyadic(1, 1) < 1
-        assert Dyadic(3, 1) > Dyadic(1, 0)
-        assert Dyadic(2, 1) == 1
-        assert Dyadic(5, 0) + 2 == 7
 
     @given(st.integers(min_value=-(2**70), max_value=2**70), st.integers(min_value=0, max_value=70))
     def test_hash_matches_equal_fraction_and_int(self, num, exp):
@@ -145,7 +137,7 @@ class TestDyadic:
         assert Dyadic(3, 2).mul_pow2(2) == 3
         assert Dyadic(3, 0).mul_pow2(-2) == Dyadic(3, 2)
 
-    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
     @given(
         st.integers(min_value=-(2**20), max_value=2**20),
         st.integers(min_value=0, max_value=20),
@@ -174,16 +166,22 @@ class TestDyadic:
         with pytest.raises(TypeError):
             Dyadic(1, 1) + 0.5
 
-    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.lt])
     def test_fraction_is_no_arithmetic_operand(self, op):
         with pytest.raises(TypeError):
             op(Dyadic(1, 1), Fraction(1, 3))
         with pytest.raises(TypeError):
             op(Fraction(1, 3), Dyadic(1, 1))
 
-    def test_fraction_compares(self):
-        assert Dyadic(1, 1) == Fraction(1, 2)
-        assert Dyadic(1, 1) < Fraction(2, 3) <= Dyadic(3, 2)
+    @pytest.mark.parametrize(
+        "call",
+        [lambda d: d < d, lambda d: 1 <= d, lambda d: d * d, lambda d: 2 * d, abs, float],
+        ids=["lt", "int-le", "mul", "int-mul", "abs", "float"],
+    )
+    def test_no_ordering_product_abs_or_float(self, call):
+        # each of these goes through to_fraction()
+        with pytest.raises(TypeError):
+            call(Dyadic(1, 1))
 
     def test_from_fraction_returns_a_dyadic_as_it_is(self):
         d = Dyadic(-3, 4)
@@ -199,7 +197,7 @@ class TestDyadic:
             phi_exact,
             theta_exact,
             lambda t: phi_derivative(2, t),
-            lambda t: taylor_at(t, 4) if abs(t) <= 1 else None,
+            lambda t: taylor_at(t, 4) if abs(d.to_fraction()) <= 1 else None,
         ):
             values = [f(t) for t in points]
             assert values == [values[0]] * len(points)

@@ -145,13 +145,16 @@ class TestParallelBlocks:
             pass
 
         done = []
+        helper_busy = threading.Event()
 
         def block_hits(x, seed, block_index, count, depth):
             # with 2 workers, even blocks belong to the calling thread; block 0
-            # fails at once while the helper is still working its stripe
+            # fails while the helper is working block 1 of its stripe 1, 3
             if block_index == 0:
+                assert helper_busy.wait(10)
                 raise Boom
-            time.sleep(0.05)
+            helper_busy.set()
+            time.sleep(0.1)
             done.append(block_index)
             return 0
 
@@ -160,7 +163,34 @@ class TestParallelBlocks:
         monkeypatch.setattr(stochastic, "_block_hits", block_hits)
         with pytest.raises(Boom):
             mc_phi(-0.5, 4 * BLOCK_SIZE, 8, SEED)
-        assert done == [1, 3]  # raised only after the helper's stripe ended
+        assert done == [1]  # the helper stopped after its current block
+        assert threading.active_count() == before
+
+    def test_helper_error_stops_calling_thread(self, monkeypatch):
+        class Boom(RuntimeError):
+            pass
+
+        done = []
+        caller_busy = threading.Event()
+
+        def block_hits(x, seed, block_index, count, depth):
+            # with 2 workers, odd blocks belong to the helper; block 1 fails
+            # while the calling thread is working block 0 of its stripe
+            # 0, 2, 4, 6
+            if block_index == 1:
+                assert caller_busy.wait(10)
+                raise Boom
+            caller_busy.set()
+            time.sleep(0.1)
+            done.append(block_index)
+            return 0
+
+        before = threading.active_count()
+        _patch_cpus(monkeypatch, 2)
+        monkeypatch.setattr(stochastic, "_block_hits", block_hits)
+        with pytest.raises(Boom):
+            mc_phi(-0.5, 8 * BLOCK_SIZE, 8, SEED)
+        assert done == [0]  # the calling thread stopped after its current block
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
@@ -215,15 +245,17 @@ class TestTwoPhaseKernel:
 
     @pytest.mark.parametrize("x", [-0.75, -0.5, -0.3])
     def test_phase_two_is_live(self, monkeypatch, x):
-        # scalar draws must run, and only for a small share of the block
+        # scalar draws must run, and only for a small share of the block;
+        # phase 2 seeks once before each of its draws
         scalar_draws = []
-        stream_double = stochastic._stream_double
+        seek = stochastic._seek
 
-        def counting_stream_double(bits, state, position):
-            scalar_draws.append(position)
-            return stream_double(bits, state, position)
+        def counting_seek(bits, state, position):
+            if sys._getframe(1).f_code is stochastic._finish.__code__:
+                scalar_draws.append(position)
+            seek(bits, state, position)
 
-        monkeypatch.setattr(stochastic, "_stream_double", counting_stream_double)
+        monkeypatch.setattr(stochastic, "_seek", counting_seek)
         hits = _block_hits(x, SEED, 6, BLOCK_SIZE, 53)
         monkeypatch.undo()
         assert 0 < len(scalar_draws) < BLOCK_SIZE // 256
@@ -231,10 +263,10 @@ class TestTwoPhaseKernel:
 
     @pytest.mark.parametrize("seed,block", [(SEED, 0), (2**64 - 1, 15)])
     def test_stream_double_reads_the_generator_stream(self, seed, block):
-        # if numpy changed Philox's counter or its word-to-double mapping,
-        # phase 2 would read other doubles than phase 1 draws; one Philox
-        # reads positions out of order and backwards, so each seek must be
-        # absolute
+        # if numpy changed Philox's counter or how Generator.random spends
+        # its words, phase 2 would read other doubles than phase 1 draws;
+        # one Generator reads positions out of order and backwards, so each
+        # seek must be absolute
         key = np.array([seed, block], dtype=np.uint64)
         chunk = stochastic._CHUNK
         positions = [
@@ -244,10 +276,11 @@ class TestTwoPhaseKernel:
         stream = np.random.Generator(np.random.Philox(key=key)).random(
             max(positions) + 1
         )
-        bits = np.random.Philox(key=key)
-        state = bits.state
+        rng = np.random.Generator(np.random.Philox(key=key))
+        state = rng.bit_generator.state
         for p in positions:
-            assert stochastic._stream_double(bits, state, p) == stream[p]
+            stochastic._seek(rng.bit_generator, state, p)
+            assert rng.random() == stream[p]
 
     def test_block_holds_one_chunk(self):
         # a worker keeps one chunk of running sums and one of draws, never
