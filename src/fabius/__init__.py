@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 _LAYERS = {
     "approximants": (
         "partition_polynomial",
-        "plateau_numerators",
         "restricted_partitions",
         "StepFunction",
         "step_function",

@@ -7,7 +7,9 @@ r = s_1 + ... + s_n with 0 <= s_i <= 2^i - 1.  A polynomial here is the plain
 tuple of its integer coefficients, index = power of x.  Normalizing by
 2^n / 2^C(n+1,2) and laying the coefficients out on consecutive dyadic
 intervals of width 2^-n gives a unimodal step function of integral one that
-converges to phi.
+converges to phi.  Since 2^n / 2^C(n+1,2) = 2^-C(n,2), a step function is
+p_n's coefficients over the one denominator 2^C(n,2), and it stays in those
+integers until an answer is asked for.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .core import Dyadic
 
 __all__ = [
     "partition_polynomial",
-    "plateau_numerators",
     "restricted_partitions",
     "StepFunction",
     "step_function",
@@ -56,36 +57,42 @@ def restricted_partitions(m: int) -> tuple[int, ...]:
 
 
 class StepFunction(NamedTuple):
-    """Level-n step approximant to phi.
+    """Level-n step approximant to phi: plateau j is worth numerators[j] / 2^exp.
 
-    Plateau j covers [(2j-1-g)/2^(n+1), (2j+1-g)/2^(n+1)) with exact rational
-    value 2^n * 2^-C(n+1,2) * p_n[j].  Ownership of points is half-open, but
-    a point sitting exactly on the shared edge of two plateaus evaluates to
-    the midpoint of their values (the underlying closed intervals genuinely
-    overlap there, and the midpoint is the jump value the approximation
-    converges with); the two support-boundary edges are unambiguous and keep
-    their half-open values.  The plateau values are unimodal with peak 1 at
-    the center, and width * sum(values) is exactly 1.
+    ``numerators`` are p_n's coefficients and exp = C(n, 2).  Plateau j covers
+    [(2j-1-g)/2^(n+1), (2j+1-g)/2^(n+1)), g the degree.  Ownership of points
+    is half-open, but a point sitting exactly on the shared edge of two
+    plateaus evaluates to the midpoint of their values (the underlying closed
+    intervals genuinely overlap there, and the midpoint is the jump value the
+    approximation converges with); the two support-boundary edges are
+    unambiguous and keep their half-open values.  The plateau values are
+    unimodal with peak 1 at the center, and width * sum(values) is exactly 1.
+    ``integral``, ``is_unimodal`` and ``value_at`` work on the integers and
+    build one Fraction per answer.
     """
 
     level: int
-    values: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+
+    @property
+    def exp(self) -> int:
+        return self.level * (self.level - 1) // 2
 
     @property
     def degree(self) -> int:
-        return len(self.values) - 1
+        return len(self.numerators) - 1
 
     def integral(self) -> Fraction:
-        return sum(self.values, Fraction(0)) / (1 << self.level)
+        return Fraction(sum(self.numerators), 1 << (self.exp + self.level))
 
     def is_unimodal(self) -> bool:
         """Non-decreasing up to the first maximum, non-increasing from it, peak 1."""
-        v = self.values
+        v = self.numerators
         i = v.index(max(v))
         return (
             all(a <= b for a, b in pairwise(v[: i + 1]))
             and all(a >= b for a, b in pairwise(v[i:]))
-            and v[i] == 1
+            and v[i] == 1 << self.exp
         )
 
     def value_at(self, t: Dyadic | int | Fraction) -> Fraction:
@@ -98,20 +105,10 @@ class StepFunction(NamedTuple):
         if not 0 <= j <= self.degree:
             return Fraction(0)
         if s == 2 * j and j > 0:  # interior edge
-            return (self.values[j - 1] + self.values[j]) / 2
-        return self.values[j]  # the left support edge is included
-
-
-def plateau_numerators(n: int) -> tuple[tuple[int, ...], int]:
-    """(p_n's coefficients, E): plateau j of level n is worth p_n[j] / 2^E.
-
-    E = C(n, 2), since 2^n / 2^C(n+1,2) = 2^-C(n,2).
-    """
-    return partition_polynomial(n), n * (n - 1) // 2
+            return Fraction(self.numerators[j - 1] + self.numerators[j], 2 << self.exp)
+        return Fraction(self.numerators[j], 1 << self.exp)  # left support edge included
 
 
 def step_function(n: int) -> StepFunction:
     """Build the level-n step approximant from p_n."""
-    numerators, exp = plateau_numerators(n)
-    scale = Fraction(1, 1 << exp)
-    return StepFunction(level=n, values=tuple(scale * a for a in numerators))
+    return StepFunction(n, partition_polynomial(n))

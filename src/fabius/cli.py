@@ -38,8 +38,8 @@ from .coefficients import (
     series_integer_numerators,
 )
 from .core import Dyadic, canonical_dyadic
-from .exact import _level_numerators, level_denominator_bound, level_values
-from .exact import phi_derivative, phi_exact, taylor_at
+from .exact import level_denominator_bound, level_numerators, phi_derivative
+from .exact import phi_exact, taylor_at
 
 __all__ = ["main", "render_table"]
 
@@ -126,12 +126,12 @@ def _emit(args, mode: str, payload, lines) -> None:
 
 def level_denominator(n: int) -> int:
     """Minimal common denominator of the level-n grid values."""
-    return _level_numerators(n)[1]
+    return level_numerators(n)[1]
 
 
 def render_table(n: int) -> list[str]:
     """Rows ``q<TAB>D*phi(q/2^n)<TAB>phi(q/2^n)`` with D the minimal level denominator."""
-    numerators, d = _level_numerators(n)
+    numerators, d = level_numerators(n)
     return [f"{q}\t{v}\t{Fraction(v, d)}" for q, v in enumerate(numerators)]
 
 
@@ -177,13 +177,14 @@ def _cmd_eval_float(args) -> int:
         _emit(args, "float", lambda: {"t": args.t, "value": value}, [line])
         return 0
     level = args.grid
-    values = level_values(level)
+    numerators, d = level_numerators(level)
     # Rows q and -q share one synthesis: (2k+1)*pi*(-t) is exactly
     # -((2k+1)*pi*t) and cos is even, so both sums are bit-identical, and
-    # q / (1 << level) is q/2^level rounded once to the nearest double.
-    synth = [spectral.phi_fourier(q / (1 << level), fc) for q in range(len(values))]
-    exact = [str(v) for v in values]
-    err = [abs(a - float(v)) for a, v in zip(synth, values)]
+    # q / (1 << level) is q/2^level rounded once to the nearest double, as
+    # v / d is phi(q/2^level).  Python's int division rounds correctly.
+    synth = [spectral.phi_fourier(q / (1 << level), fc) for q in range(len(numerators))]
+    exact = [str(Fraction(v, d)) for v in numerators]
+    err = [abs(a - v / d) for a, v in zip(synth, numerators)]
     qs = range(-(1 << level), (1 << level) + 1)
     _emit(
         args,
@@ -282,10 +283,10 @@ def _cmd_approx(args) -> int:
     m = args.m
     if not 0 <= m <= MAX_APPROX_LEVEL:
         raise ValueError(f"approx level must be in 0..{MAX_APPROX_LEVEL}")
-    from .approximants import plateau_numerators
+    from .approximants import step_function
 
-    numerators, exp = plateau_numerators(m)
-    g = len(numerators) - 1
+    sf = step_function(m)
+    numerators, exp, g = sf.numerators, sf.exp, sf.degree
     # plateau j spans [(2j-1-g)/2^(m+1), (2j+1-g)/2^(m+1)) = [edges[j], edges[j+1]),
     # each edge printed as str(Dyadic), each value as str(Fraction) prints it
     edges = [

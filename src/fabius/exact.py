@@ -25,8 +25,8 @@ Horner pass per block and a single Fraction, O(n^2) bigint steps.
 A whole level stays in integers over one denominator.  The walk gives
 d phi(q/2^n) over the plan's denominator d for q <= 2^(n-1), the reflection
 phi(t) = 1 - phi(1-t) gives the rest as d - v, and the minimal level
-denominator is D = d / gcd(d, numerators); :func:`level_values` returns the
-numerators over D as Fractions.
+denominator is D = d / gcd(d, numerators); :func:`level_numerators` returns
+those numerators with D.
 
 The plan holds every derivative: A_n(y) = sum_k C(n, 2k) c_k y^(n-2k) is
 an Appell sequence, so with Prouhet phi^(k)(q/2^n)/k! is 2^(k(n+1)) times
@@ -49,7 +49,7 @@ from .core import Dyadic, thue_morse_sign
 __all__ = [
     "phi_exact",
     "phi_exact_raw",
-    "level_values",
+    "level_numerators",
     "phi_derivative",
     "taylor_at",
     "TaylorPolynomial",
@@ -156,7 +156,7 @@ def phi_exact(t: Dyadic | int | Fraction) -> Fraction:
     return _taylor(Dyadic.from_fraction(t), 0)[0]
 
 
-def _level_numerators(n: int) -> tuple[list[int], int]:
+def level_numerators(n: int) -> tuple[list[int], int]:
     """(D phi(q/2^n) for q = 0..2^n, D) with D the minimal level denominator.
 
     q > 2^(n-1) by reflection, as d - v over the plan's denominator d; D is
@@ -170,12 +170,6 @@ def _level_numerators(n: int) -> tuple[list[int], int]:
     numerators = half + [d - half[top - q] for q in range(len(half), top + 1)]
     g = gcd(d, *numerators)
     return [v // g for v in numerators], d // g
-
-
-def level_values(n: int) -> list[Fraction]:
-    """phi(q/2^n) for q = 0..2^n."""
-    numerators, d = _level_numerators(n)
-    return [Fraction(v, d) for v in numerators]
 
 
 def level_denominator_bound(n: int) -> int:

@@ -220,8 +220,12 @@ def mc_phi(x: float, samples: int, depth: int = 40, seed: int = 0) -> McEstimate
     for thread in threads:
         thread.start()
     work(0)
-    for thread in threads:
-        thread.join()
+    try:
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:  # an interrupt while joining stops the helpers
+        errors.append(exc)
+        raise
     if errors:
         raise errors[0]
     p = sum(hits) / samples

@@ -1,6 +1,7 @@
 """Partition polynomials, step approximants, restricted partitions."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -135,26 +136,30 @@ class TestRestrictedPartitions:
 class TestStepFunction:
     def test_level_zero(self):
         sf = step_function(0)
-        assert sf.values == (Fraction(1),)
+        assert (sf.numerators, sf.exp) == ((1,), 0)
         assert sf.value_at(Dyadic(0, 0)) == 1
         assert sf.value_at(Fraction(-1, 2)) == 1  # left edge included
         assert sf.value_at(Fraction(1, 2)) == 0
 
     def test_level_one_merges_to_unit_plateau(self):
         sf = step_function(1)
-        assert sf.values == (Fraction(1), Fraction(1))
+        assert (sf.numerators, sf.exp) == ((1, 1), 0)
         for t in (Fraction(-1, 2), Fraction(-1, 4), Fraction(0), Fraction(1, 4)):
             assert sf.value_at(t) == 1
         assert sf.value_at(Fraction(1, 2)) == 0
 
     def test_level_two_values(self):
         sf = step_function(2)
-        assert sf.values == (
-            Fraction(1, 2), Fraction(1), Fraction(1), Fraction(1), Fraction(1, 2)
-        )
+        assert (sf.numerators, sf.exp) == ((1, 2, 2, 2, 1), 1)
         assert sf.value_at(Dyadic(0, 0)) == 1
         assert sf.value_at(Fraction(-5, 8)) == Fraction(1, 2)
         assert sf.value_at(Dyadic(1, 0)) == 0
+
+    def test_numerators_are_the_partition_polynomial(self):
+        for m in range(17):
+            sf = step_function(m)
+            assert sf.numerators == partition_polynomial(m)
+            assert sf.exp == comb(m, 2)
 
     def test_intervals(self):
         sf = step_function(2)
@@ -165,7 +170,7 @@ class TestStepFunction:
         assert widths == {Fraction(1, 4)}
         # each plateau's midpoint reads that plateau's value
         mids = [(left.to_fraction() + right.to_fraction()) / 2 for left, right in edges]
-        assert [sf.value_at(t) for t in mids] == list(sf.values)
+        assert [sf.value_at(t) for t in mids] == [Fraction(a, 2) for a in sf.numerators]
 
     def test_integral_exactly_one(self):
         for n in range(0, 9):
@@ -175,32 +180,34 @@ class TestStepFunction:
         for n in range(0, 9):
             sf = step_function(n)
             assert sf.is_unimodal()
-            assert sf.values == sf.values[::-1]
-            assert max(sf.values) == 1
+            assert sf.numerators == sf.numerators[::-1]
+            assert max(sf.numerators) == 1 << sf.exp
             assert sf.value_at(Dyadic(0, 0)) == 1
 
     @pytest.mark.parametrize(
-        "quarters",
-        [(1, 4, 1, 2), (2, 1, 4, 2), (1, 2, 1)],
+        "eighths",
+        [(2, 8, 2, 4), (4, 2, 8, 4), (2, 4, 2)],
         ids=["dip-after-peak", "rise-after-fall", "peak-not-one"],
     )
-    def test_not_unimodal(self, quarters):
-        values = tuple(Fraction(v, 4) for v in quarters)
-        assert StepFunction(level=1, values=values).is_unimodal() is False
+    def test_not_unimodal(self, eighths):
+        # level 3 counts its plateaus in eighths: exp = C(3, 2) = 3
+        assert StepFunction(level=3, numerators=eighths).is_unimodal() is False
 
     def test_value_at_sweep_distinct_values(self):
-        # all values distinct, so reading a wrong neighbour shows
-        sf = StepFunction(level=2, values=tuple(Fraction(1, j + 2) for j in range(6)))
-        for j, v in enumerate(sf.values):
+        # all values distinct, so reading a wrong neighbour shows; level 2
+        # counts its plateaus in halves
+        sf = StepFunction(level=2, numerators=(1, 2, 4, 7, 11, 16))
+        values = [Fraction(a, 2) for a in sf.numerators]
+        for j, v in enumerate(values):
             left, right = (e.to_fraction() for e in plateau_interval(sf, j))
             for part in (Fraction(1, 8), Fraction(1, 2), Fraction(7, 8)):
                 assert sf.value_at(left + part * (right - left)) == v
             if j > 0:  # interior edge: the midpoint of the two plateaus
-                midpoint = (sf.values[j - 1] + v) / 2
+                midpoint = (values[j - 1] + v) / 2
                 assert sf.value_at(Dyadic.from_fraction(left)) == midpoint
         first = plateau_interval(sf, 0)[0]
         last = plateau_interval(sf, sf.degree)[1]
-        assert sf.value_at(first) == sf.values[0]  # left support edge included
+        assert sf.value_at(first) == values[0]  # left support edge included
         assert sf.value_at(last) == 0  # right support edge excluded
         assert sf.value_at(first.to_fraction() - Fraction(1, 64)) == 0
         assert sf.value_at(last.to_fraction() + Fraction(1, 64)) == 0
@@ -211,7 +218,7 @@ class TestStepFunction:
         assert sf.value_at(Fraction(1, 8)) == 1  # equal neighbors
         # t = -1/2 is the shared edge of plateaus 1 and 2 at level 3
         sf3 = step_function(3)
-        assert sf3.value_at(Fraction(-1, 2)) == (sf3.values[1] + sf3.values[2]) / 2
+        assert sf3.value_at(Fraction(-1, 2)) == Fraction(3 + 5, 2 * 8)  # p_3[1], p_3[2]
 
     def test_support_edges_one_sided(self):
         sf = step_function(2)

@@ -1,5 +1,7 @@
 """Command-line wiring: formats, round-trips, exit codes."""
 
+import contextlib
+import io
 import json
 import random
 import sys
@@ -7,6 +9,8 @@ from argparse import Namespace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fabius.approximants import step_function
 from fabius.cli import _emit, main
@@ -300,7 +304,7 @@ class TestExitStatus:
 class TestInputCaps:
     @pytest.mark.parametrize("m", ["17", "-1"])
     def test_approx_level(self, capsys, monkeypatch, m):
-        forbid(monkeypatch, "fabius.approximants.plateau_numerators")
+        forbid(monkeypatch, "fabius.approximants.step_function")
         code, out, err = run_cli(capsys, "approx", m)
         assert code == 1
         assert out == ""
@@ -308,7 +312,11 @@ class TestInputCaps:
 
     @pytest.mark.parametrize("level", ["15", "-1"])
     def test_grid_level(self, capsys, monkeypatch, level):
-        forbid(monkeypatch, "fabius.cli.level_values", "fabius.spectral.fourier_coefficients")
+        forbid(
+            monkeypatch,
+            "fabius.cli.level_numerators",
+            "fabius.spectral.fourier_coefficients",
+        )
         code, out, err = run_cli(capsys, "eval-float", "--grid", level)
         assert code == 1
         assert out == ""
@@ -352,8 +360,7 @@ class TestInputCaps:
     def test_scan_level_flag(self, capsys, monkeypatch, argv):
         forbid(
             monkeypatch,
-            "fabius.cli.level_values",
-            "fabius.cli._level_numerators",
+            "fabius.cli.level_numerators",
             "fabius.cli.phi_exact",
         )
         code, out, err = run_cli(capsys, *argv, "--max-level", "15")
@@ -365,8 +372,7 @@ class TestInputCaps:
     def test_scan_level_negative(self, capsys, monkeypatch, argv):
         forbid(
             monkeypatch,
-            "fabius.cli.level_values",
-            "fabius.cli._level_numerators",
+            "fabius.cli.level_numerators",
             "fabius.cli.phi_exact",
         )
         code, out, err = run_cli(capsys, *argv, "--max-level", "-1")
@@ -397,11 +403,12 @@ class TestApprox:
     @pytest.mark.parametrize("m", range(11))
     def test_rows_match_step_function(self, capsys, m):
         # the rows are rendered from integers; the oracle renders the
-        # plateau edges as Dyadics and the StepFunction's Fraction values
+        # plateau edges as Dyadics and reads each value at the plateau's middle
         sf = step_function(m)
         expected = []
-        for j, value in enumerate(sf.values):
+        for j in range(sf.degree + 1):
             left, right = plateau_interval(sf, j)
+            value = sf.value_at((left.to_fraction() + right.to_fraction()) / 2)
             expected.append([str(left), str(right), str(value)])
         _, out, _ = run_cli(capsys, "approx", str(m))
         lines = out.splitlines()
@@ -501,7 +508,7 @@ class TestFourierInput:
         forbid(
             monkeypatch,
             "fabius.spectral.fourier_coefficients",
-            "fabius.cli.level_values",
+            "fabius.cli.level_numerators",
             "fabius.cli.phi_exact",
         )
 
@@ -755,3 +762,59 @@ class TestMc:
         code, _, err = run_cli(capsys, "mc", "-0.5", "--samples", "10", "--depth", "65")
         assert code == 1
         assert "depth must be in 8..64" in err
+
+
+# Lowered caps, so that every drawn argv runs in milliseconds.  The integers
+# drawn sit around 0, around each cap (eval also caps the level as given, at
+# 2 * MAX_LEVEL), and far beyond them all.
+LOW_CAPS = {
+    "MAX_LEVEL": 6,
+    "MAX_GRID_LEVEL": 5,
+    "DEFAULT_MAX_LEVEL": 3,
+    "MAX_APPROX_LEVEL": 4,
+}
+EDGES = (*LOW_CAPS.values(), 2 * LOW_CAPS["MAX_LEVEL"])
+INTEGERS = st.one_of(
+    st.integers(-2, 2),
+    *(st.integers(cap - 1, cap + 1) for cap in EDGES),
+    st.sampled_from([1 << 64, (1 << 128) - 1]),
+)
+TOKENS = st.one_of(
+    INTEGERS.map(str), st.sampled_from(["1e3", "0x10", "-0", "", "x", "1.5", "--json"])
+)
+MODES = {"table": "table", "eval": "exact", "eval-float": "float", "approx": "approx"}
+
+
+@st.composite
+def grid_argv(draw):
+    """(mode, argv) for table, eval, eval-float --grid or approx."""
+    command = draw(st.sampled_from(sorted(MODES)))
+    args = [draw(TOKENS) for _ in range(2 if command == "eval" else 1)]
+    if command == "eval-float":
+        args.insert(0, "--grid")
+    if draw(st.booleans()):
+        args += ["--max-level", draw(TOKENS)]
+    flags = ["--json"] if draw(st.booleans()) else []
+    return MODES[command], [*flags, command, *args]
+
+
+class TestGeneratedArgv:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(grid_argv())
+    def test_answer_or_usage_error(self, drawn):
+        mode, argv = drawn
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            for name, cap in LOW_CAPS.items():
+                mp.setattr(f"fabius.cli.{name}", cap)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1), argv
+        if code == 1:
+            assert out == "", argv
+            assert err.startswith(("fabius: error:", "usage:")), argv
+        else:
+            assert err == "", argv
+            if argv[0] == "--json":
+                assert json.loads(out)["mode"] == mode, argv

@@ -22,7 +22,7 @@ from fabius.exact import (
     _level_plan,
     _weights,
     level_denominator_bound,
-    level_values,
+    level_numerators,
     phi_derivative,
     phi_exact,
     phi_exact_raw,
@@ -304,10 +304,16 @@ class TestBlockEvaluator:
             assert phi_exact(Dyadic((1 << n) - 1, n)) == phi_near_one(n)
 
 
+def level_fractions(n: int) -> list[Fraction]:
+    """phi(q/2^n) for q = 0..2^n, from the level's numerators over D."""
+    numerators, d = level_numerators(n)
+    return [Fraction(v, d) for v in numerators]
+
+
 class TestLevelValues:
     def test_equals_pointwise_evaluation(self):
         for n in range(11):
-            values = level_values(n)
+            values = level_fractions(n)
             assert values == [phi_exact(Dyadic(q, n)) for q in range((1 << n) + 1)]
             if n <= 6:
                 raw = [phi_exact_raw(q, n) for q in range(1 << n)]
@@ -316,7 +322,7 @@ class TestLevelValues:
     def test_equals_thue_morse_product(self):
         for n in range(15):
             d, numerators = thue_morse_level(n)
-            assert level_values(n) == [Fraction(a, d) for a in numerators]
+            assert level_fractions(n) == [Fraction(a, d) for a in numerators]
 
     def test_minimal_denominator_is_gcd_form(self):
         for n in range(15):
@@ -335,11 +341,11 @@ class TestLevelValues:
 
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
-            level_values(-1)
+            level_numerators(-1)
 
     def test_cold_level_builds_one_plan(self):
         _level_plan.cache_clear()
-        level_values(10)
+        level_numerators(10)
         assert _level_plan.cache_info().currsize == 1
 
     def test_level_sweep_keeps_no_per_point_state(self):
@@ -377,9 +383,7 @@ class TestIdentities:
     @pytest.mark.parametrize("n", [10, 14])
     def test_partition_of_unity_at_dyadic_spacings(self, n):
         # sum_k phi(t + k/2^j) = 2^j exactly, at every t = q/2^n
-        half = level_values(n)
-        d = lcm(*(v.denominator for v in half))
-        half = [v.numerator * (d // v.denominator) for v in half]
+        half, d = level_numerators(n)
         values = half[:0:-1] + half  # d * phi(q/2^n), q = -2^n..2^n, by evenness
         for j in range(6):
             step = 1 << (n - j)

@@ -3,7 +3,8 @@
 numpy loads only when a Monte Carlo block is drawn; the exact commands
 leave ``spectral``, ``stochastic``, ``approximants`` and ``json`` unloaded;
 no command but ``selftest`` loads ``dataclasses``; and ``import fabius``
-loads the exact core and resolves the other layers' names on first use.
+loads the exact core and resolves the other layers' names on first use.  No
+module of the package imports another module's underscore name.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported everything.  The child imports the same checkout as this
@@ -16,6 +17,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +186,20 @@ def test_package_loads_the_exact_core_and_resolves_the_rest_on_first_use():
     assert all(len(layers) == 1 for layers in homes.values())
 
 
+def test_no_module_imports_a_private_name():
+    # tests may import private names; the package's own modules may not
+    package = Path(fabius.__file__).parent
+    private = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_star_import_and_unknown_names():
     namespace = {}
     exec("from fabius import *", namespace)
@@ -201,7 +217,7 @@ RECORDS = [
     (taylor_at(Dyadic(1, 2), 2), "coeffs"),
     (CoefficientTable.build(2), "c"),
     (McEstimate(x=-0.5, samples=1, depth=8, estimate=1.0, stderr=0.0, seed=0), "x"),
-    (step_function(2), "values"),
+    (step_function(2), "numerators"),
     (CriterionResult(1, "name", True, "detail", 0.0), "passed"),
 ]
 

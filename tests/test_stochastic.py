@@ -193,6 +193,42 @@ class TestParallelBlocks:
         assert done == [0]  # the calling thread stopped after its current block
         assert threading.active_count() == before
 
+    def test_interrupt_while_joining_stops_helpers(self, monkeypatch):
+        done = []
+        helpers = []
+        helper_busy = threading.Event()
+
+        class InterruptedThread(threading.Thread):
+            # the first join raises, as a Ctrl-C that reaches the calling
+            # thread while it waits there would
+            def join(self, timeout=None):
+                if self not in helpers:
+                    helpers.append(self)
+                    raise KeyboardInterrupt
+                super().join(timeout)
+
+        def block_hits(x, seed, block_index, count, depth):
+            # with 2 workers, odd blocks belong to the helper; the calling
+            # thread ends its stripe 0, 2, ..., 18 while the helper works block 1
+            if block_index % 2:
+                helper_busy.set()
+                time.sleep(0.05)
+                done.append(block_index)
+            else:
+                assert helper_busy.wait(10)
+            return 0
+
+        before = threading.active_count()
+        _patch_cpus(monkeypatch, 2)
+        monkeypatch.setattr(stochastic.threading, "Thread", InterruptedThread)
+        monkeypatch.setattr(stochastic, "_block_hits", block_hits)
+        with pytest.raises(KeyboardInterrupt):
+            mc_phi(-0.5, 20 * BLOCK_SIZE, 8, SEED)
+        for thread in helpers:
+            thread.join()
+        assert done == [1]  # the helper stopped after its current block
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
     def test_cpus_without_affinity(self, monkeypatch, count, cpus):
         monkeypatch.delattr(stochastic.os, "sched_getaffinity", raising=False)
