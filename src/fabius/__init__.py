@@ -11,24 +11,38 @@ Exact paths work in integers, ``fractions.Fraction`` and the canonical
 synthesis and the Monte Carlo oracle.
 
 Every public name is importable from the package: the names in the
-``__all__`` of each layer.  The exact core (``core``, ``coefficients``,
-``exact``) loads with it; ``approximants``, ``spectral`` and ``stochastic``
-load only when one of their names is first looked up, so the exact commands
-never load them.
+``__all__`` of each layer.  ``import fabius`` loads no layer: a layer loads
+when one of its names, or the layer itself, is first looked up, so each CLI
+command loads only the layers it runs.
 """
 
 import importlib
 
-from . import coefficients, core, exact
-from .coefficients import *
-from .core import *
-from .exact import *
-
 __version__ = "0.1.0"
 
-# each lazily loaded layer's ``__all__``, which cannot be read without
-# importing the layer
+# each layer's ``__all__``, which cannot be read without importing the layer
 _LAYERS = {
+    "core": ("Dyadic", "canonical_dyadic", "val2", "thue_morse_sign"),
+    "coefficients": (
+        "TableIntegrityError",
+        "series_coefficients",
+        "series_integer_numerators",
+        "exp_moment_coefficients",
+        "exp_moment_integer_numerators",
+        "moment",
+        "phi_near_one",
+        "phi_near_one_from_series",
+        "CoefficientTable",
+    ),
+    "exact": (
+        "phi_exact",
+        "phi_exact_raw",
+        "level_numerators",
+        "phi_derivative",
+        "taylor_at",
+        "TaylorPolynomial",
+        "level_denominator_bound",
+    ),
     "approximants": (
         "partition_polynomial",
         "restricted_partitions",
@@ -50,11 +64,14 @@ _LAYERS = {
 }
 _HOMES = {name: module for module, names in _LAYERS.items() for name in names}
 
-__all__ = [*core.__all__, *coefficients.__all__, *exact.__all__, *_HOMES]
+__all__ = list(_HOMES)
 
 
 def __getattr__(name):
-    # PEP 562: called only for names not yet in globals(); cache each one
+    # PEP 562: called only for names not yet in globals().  A layer's own
+    # name imports it, which binds it here; cache each other name.
+    if name in _LAYERS:
+        return importlib.import_module(f".{name}", __name__)
     home = _HOMES.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,28 +18,26 @@ up to ``MAX_APPROX_LEVEL``, ``coeffs`` counts up to ``MAX_COEFFS``, and
 The synthesis length is capped at ``MAX_FOURIER_K`` and the product
 truncation at ``MAX_M_MAX``.
 
-Each command imports only the layers it runs: the exact commands never load
-``spectral``, ``stochastic``, ``approximants`` or ``json``.
+Each command imports only the layers it runs, inside the functions that
+use them: importing this module loads no fabius layer and not ``fractions``,
+the exact commands never load ``spectral``, ``stochastic``, ``approximants``
+or ``json``, and ``fourier-coeffs``, ``eval-float T``, ``mc`` and every
+argparse rejection never load the exact core.  ``entry``, not ``main``, is
+the process entry point of ``fabius`` and ``python -m fabius.cli``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
-from fractions import Fraction
 from itertools import chain
 from math import isfinite
+from typing import TYPE_CHECKING
 
-from .coefficients import (
-    exp_moment_coefficients,
-    exp_moment_integer_numerators,
-    series_coefficients,
-    series_integer_numerators,
-)
-from .core import Dyadic, canonical_dyadic
-from .exact import level_denominator_bound, level_numerators, phi_derivative
-from .exact import phi_exact, taylor_at
+if TYPE_CHECKING:
+    from .core import Dyadic
 
 __all__ = ["main", "render_table"]
 
@@ -89,6 +87,8 @@ def _point(args) -> Dyadic:
     """The canonical q/2^n of ``args``, rejected outside the level caps before any work."""
     if not 0 <= args.n <= 2 * MAX_LEVEL:
         raise ValueError(f"level as given must be at most {2 * MAX_LEVEL} and at least 0")
+    from .core import Dyadic
+
     t = Dyadic(args.q, args.n)
     if t.exp > MAX_LEVEL:
         raise ValueError(f"level must be in 0..{MAX_LEVEL}")
@@ -126,11 +126,17 @@ def _emit(args, mode: str, payload, lines) -> None:
 
 def level_denominator(n: int) -> int:
     """Minimal common denominator of the level-n grid values."""
+    from .exact import level_numerators
+
     return level_numerators(n)[1]
 
 
 def render_table(n: int) -> list[str]:
     """Rows ``q<TAB>D*phi(q/2^n)<TAB>phi(q/2^n)`` with D the minimal level denominator."""
+    from fractions import Fraction
+
+    from .exact import level_numerators
+
     numerators, d = level_numerators(n)
     return [f"{q}\t{v}\t{Fraction(v, d)}" for q, v in enumerate(numerators)]
 
@@ -138,6 +144,8 @@ def render_table(n: int) -> list[str]:
 def _cmd_eval(args) -> int:
     max_level = _max_level(args)
     t = _point(args)
+    from .exact import level_denominator_bound, phi_exact
+
     value = phi_exact(t)
     if args.n <= max_level:
         d = level_denominator(args.n)
@@ -176,6 +184,11 @@ def _cmd_eval_float(args) -> int:
         line = f"{_float_str(value)}\n"
         _emit(args, "float", lambda: {"t": args.t, "value": value}, [line])
         return 0
+    from fractions import Fraction
+
+    from .core import Dyadic
+    from .exact import level_numerators
+
     level = args.grid
     numerators, d = level_numerators(level)
     # Rows q and -q share one synthesis: (2k+1)*pi*(-t) is exactly
@@ -233,6 +246,13 @@ def _cmd_coeffs(args) -> int:
     n = args.count
     if not 0 <= n <= MAX_COEFFS:
         raise ValueError(f"coeffs count must be in 0..{MAX_COEFFS}")
+    from .coefficients import (
+        exp_moment_coefficients,
+        exp_moment_integer_numerators,
+        series_coefficients,
+        series_integer_numerators,
+    )
+
     if args.which == "c":
         values = [str(v) for v in series_coefficients(n)]
     elif args.which == "F":
@@ -254,6 +274,8 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_deriv(args) -> int:
     t = _point(args)
+    from .exact import phi_derivative
+
     value = phi_derivative(args.k, t)
     _emit(
         args,
@@ -265,7 +287,10 @@ def _cmd_deriv(args) -> int:
 
 
 def _cmd_taylor(args) -> int:
-    poly = taylor_at(_point(args), args.order)
+    t = _point(args)
+    from .exact import taylor_at
+
+    poly = taylor_at(t, args.order)
     degree = poly.degree
     # every coefficient above the degree is 0: format that once
     values = [str(c) for c in poly.coeffs[: degree + 1]]
@@ -284,6 +309,7 @@ def _cmd_approx(args) -> int:
     if not 0 <= m <= MAX_APPROX_LEVEL:
         raise ValueError(f"approx level must be in 0..{MAX_APPROX_LEVEL}")
     from .approximants import step_function
+    from .core import canonical_dyadic
 
     sf = step_function(m)
     numerators, exp, g = sf.numerators, sf.exp, sf.degree
@@ -452,5 +478,20 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
+def entry():
+    """Run ``main`` on the process's arguments and exit with its status.
+
+    The console script and ``python -m fabius.cli`` call this, not ``main``.
+    It freezes what import created before ``main`` runs, and what ``main``
+    created after it returns, so that the collections in ``main`` and the
+    interpreter's final one at exit skip them.  ``main`` itself never
+    freezes: a long-lived caller must keep collecting.
+    """
+    gc.freeze()
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

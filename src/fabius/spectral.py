@@ -14,17 +14,15 @@ whose coefficient signs follow the Thue-Morse sequence; the coefficients are
 a plain tuple of floats.  The translates of phi at spacing 1/n sum to n (the
 partition of unity), which is :func:`translate_sum` at u = 1/n.  Everything
 here is double precision; the exact modules never route through this one, it
-exists as a verification and plotting surface.
+exists as a verification and plotting surface.  The synthesis needs only
+``math``; the exact layers load with the checks that read them
+(:func:`transform_series`, :func:`transform_pole_product` and
+:func:`poisson_check`).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
-from .coefficients import series_coefficients
-from .core import val2
-from .exact import phi_exact
 
 __all__ = [
     "DEFAULT_M_MAX",
@@ -68,6 +66,8 @@ def transform_series(x: float, terms: int = 24) -> float:
     """
     if terms < 0:
         raise ValueError("terms must be >= 0")
+    from .coefficients import series_coefficients
+
     c = series_coefficients(terms)
     total = 0.0
     for k in range(terms + 1):
@@ -84,6 +84,8 @@ def transform_pole_product(x: float, m_max: int) -> float:
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    from .core import val2
+
     out = 1.0
     xx = x * x
     for m in range(1, m_max + 1):
@@ -138,6 +140,10 @@ def poisson_check(a: float) -> tuple[float, float]:
     """
     if not 0.5 <= a <= 1.0:
         raise ValueError("poisson_check requires 1/2 <= a <= 1")
+    from fractions import Fraction
+
+    from .exact import phi_exact
+
     lhs = a + 2.0 * a * float(phi_exact(Fraction(a)))
     rhs = transform_product(0.0)
     tiny_run = 0

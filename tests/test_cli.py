@@ -1,19 +1,21 @@
 """Command-line wiring: formats, round-trips, exit codes."""
 
 import contextlib
+import gc
 import io
 import json
 import random
 import sys
 from argparse import Namespace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fabius.approximants import step_function
-from fabius.cli import _emit, main
+from fabius.cli import MAX_FOURIER_K, MAX_M_MAX, _emit, entry, main
 from fabius.coefficients import phi_near_one
 from fabius.core import Dyadic
 from fabius.exact import phi_derivative, phi_exact, taylor_at
@@ -23,9 +25,12 @@ from fabius.spectral import (
     phi_fourier,
     transform_product,
 )
+from fabius.stochastic import MAX_DEPTH
 from test_approximants import plateau_interval
 from test_coefficients import assert_d_recurrence
 from test_core import parse_dyadic
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -191,7 +196,7 @@ class TestDeepLevels:
 class TestLevelCap:
     def _forbid_work(self, monkeypatch):
         names = ("phi_exact", "phi_derivative", "taylor_at", "level_denominator_bound")
-        forbid(monkeypatch, *(f"fabius.cli.{name}" for name in names))
+        forbid(monkeypatch, *(f"fabius.exact.{name}" for name in names))
 
     @pytest.mark.parametrize(
         "argv",
@@ -207,7 +212,9 @@ class TestLevelCap:
     def test_canonical_level_is_checked(self, capsys, monkeypatch):
         # 2/2^129 is 1/2^128, inside the cap
         seen = []
-        monkeypatch.setattr("fabius.cli.phi_exact", lambda t: seen.append(t) or Fraction(0))
+        monkeypatch.setattr(
+            "fabius.exact.phi_exact", lambda t: seen.append(t) or Fraction(0)
+        )
         code, out, _ = run_cli(capsys, "eval", "2", "129")
         assert code == 0
         assert seen == [Dyadic(1, 128)]
@@ -314,7 +321,7 @@ class TestInputCaps:
     def test_grid_level(self, capsys, monkeypatch, level):
         forbid(
             monkeypatch,
-            "fabius.cli.level_numerators",
+            "fabius.exact.level_numerators",
             "fabius.spectral.fourier_coefficients",
         )
         code, out, err = run_cli(capsys, "eval-float", "--grid", level)
@@ -327,8 +334,8 @@ class TestInputCaps:
     def test_coeffs_count(self, capsys, monkeypatch, which, count):
         forbid(
             monkeypatch,
-            "fabius.cli.series_coefficients",
-            "fabius.cli.exp_moment_coefficients",
+            "fabius.coefficients.series_coefficients",
+            "fabius.coefficients.exp_moment_coefficients",
         )
         code, out, err = run_cli(capsys, "coeffs", which, count)
         assert code == 1
@@ -351,7 +358,7 @@ class TestInputCaps:
             orders.append(max_order)
             return taylor_at(t, 3)
 
-        monkeypatch.setattr("fabius.cli.taylor_at", stub)
+        monkeypatch.setattr("fabius.exact.taylor_at", stub)
         code, out, _ = run_cli(capsys, "taylor", "1", "3", "1000000")
         assert (code, orders) == (0, [1000000])
         assert out.splitlines()[0] == "0\t287/288"
@@ -360,8 +367,8 @@ class TestInputCaps:
     def test_scan_level_flag(self, capsys, monkeypatch, argv):
         forbid(
             monkeypatch,
-            "fabius.cli.level_numerators",
-            "fabius.cli.phi_exact",
+            "fabius.exact.level_numerators",
+            "fabius.exact.phi_exact",
         )
         code, out, err = run_cli(capsys, *argv, "--max-level", "15")
         assert code == 1
@@ -372,8 +379,8 @@ class TestInputCaps:
     def test_scan_level_negative(self, capsys, monkeypatch, argv):
         forbid(
             monkeypatch,
-            "fabius.cli.level_numerators",
-            "fabius.cli.phi_exact",
+            "fabius.exact.level_numerators",
+            "fabius.exact.phi_exact",
         )
         code, out, err = run_cli(capsys, *argv, "--max-level", "-1")
         assert code == 1
@@ -508,8 +515,8 @@ class TestFourierInput:
         forbid(
             monkeypatch,
             "fabius.spectral.fourier_coefficients",
-            "fabius.cli.level_numerators",
-            "fabius.cli.phi_exact",
+            "fabius.exact.level_numerators",
+            "fabius.exact.phi_exact",
         )
 
     def test_stray_env_variables_change_nothing(self, capsys, monkeypatch):
@@ -592,7 +599,8 @@ class TestIntegrityViolation:
 
     def test_coeffs_non_integer_numerator(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "fabius.cli.series_coefficients", lambda n: (Fraction(1), Fraction(1, 7))
+            "fabius.coefficients.series_coefficients",
+            lambda n: (Fraction(1), Fraction(1, 7)),
         )
         code, out, err = run_cli(capsys, "coeffs", "F", "1")
         assert (code, out) == (2, "")
@@ -628,6 +636,38 @@ class TestConsoleScript:
             env=env,
         )
         assert proc.returncode == 1
+        # the module path runs entry(), as the console script does
+        proc = subprocess.run(
+            [sys.executable, "-m", "fabius.cli", "table", "5"],
+            capture_output=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == (DATA / "table_n5_golden.txt").read_bytes()
+
+    def test_entry_freezes_and_exits_with_the_status(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["fabius", "table", "99"])
+        try:
+            with pytest.raises(SystemExit) as exit_:
+                entry()
+            frozen = gc.get_freeze_count()
+        finally:
+            gc.unfreeze()
+        assert (exit_.value.code, frozen > 0) == (1, True)
+        assert "table level must be in 0..12" in capsys.readouterr().err
+
+    def test_main_never_freezes(self, capsys):
+        # in-process callers keep collecting what main leaves behind
+        before = gc.get_freeze_count()
+        argvs = [
+            ["eval", "1", "3"],
+            ["table", "4"],
+            ["mc", "-0.5", "--samples", "10"],
+            ["frobnicate"],
+        ]
+        assert [main(argv) for argv in argvs] == [0, 0, 0, 1]
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
 
     @pytest.mark.parametrize("argv", [["table", "12"], ["taylor", "1", "3", "100000"]])
     def test_closed_pipe_exits_quietly(self, argv):
@@ -766,47 +806,92 @@ class TestMc:
 
 # Lowered caps, so that every drawn argv runs in milliseconds.  The integers
 # drawn sit around 0, around each cap (eval also caps the level as given, at
-# 2 * MAX_LEVEL), and far beyond them all.
+# 2 * MAX_LEVEL), and far beyond them all.  The Fourier caps and the Monte
+# Carlo depths stay as they are, because they are cheap; so the largest
+# sample count accepted is MAX_FOURIER_K = 1024.
 LOW_CAPS = {
-    "MAX_LEVEL": 6,
-    "MAX_GRID_LEVEL": 5,
-    "DEFAULT_MAX_LEVEL": 3,
-    "MAX_APPROX_LEVEL": 4,
+    "fabius.cli.MAX_LEVEL": 6,
+    "fabius.cli.MAX_GRID_LEVEL": 5,
+    "fabius.cli.DEFAULT_MAX_LEVEL": 3,
+    "fabius.cli.MAX_APPROX_LEVEL": 4,
+    "fabius.cli.MAX_COEFFS": 8,
+    "fabius.exact.MAX_TAYLOR_ORDER": 8,
 }
-EDGES = (*LOW_CAPS.values(), 2 * LOW_CAPS["MAX_LEVEL"])
+EDGES = (
+    *LOW_CAPS.values(),
+    2 * LOW_CAPS["fabius.cli.MAX_LEVEL"],
+    MAX_FOURIER_K,
+    MAX_M_MAX,
+    8,
+    MAX_DEPTH,
+)
 INTEGERS = st.one_of(
     st.integers(-2, 2),
     *(st.integers(cap - 1, cap + 1) for cap in EDGES),
-    st.sampled_from([1 << 64, (1 << 128) - 1]),
+    st.sampled_from([(1 << 64) - 1, 1 << 64, (1 << 128) - 1]),
 )
 TOKENS = st.one_of(
     INTEGERS.map(str), st.sampled_from(["1e3", "0x10", "-0", "", "x", "1.5", "--json"])
 )
-MODES = {"table": "table", "eval": "exact", "eval-float": "float", "approx": "approx"}
+FLOATS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-0.0", "5e-324", "1e308", "-0.5", "0.375"]),
+    TOKENS,
+)
+# mc accepts x in [-1, 0] only, so half of these lie there
+MC_X = st.sampled_from(
+    ["-1", "-0.75", "-0.0", "-5e-324", "0", "nan", "-inf", "5e-324", "1e308", "x"]
+)
+# label: (JSON mode, positionals, options), each a strategy for its token.  A
+# label's first word is the command, and the options it names are always
+# drawn: mc's default is 100 000 samples.
+GRAMMAR = {
+    "table": ("table", [TOKENS], {"--max-level": TOKENS}),
+    "eval": ("exact", [TOKENS, TOKENS], {"--max-level": TOKENS}),
+    "eval-float": ("float", [FLOATS], {"--fourier-k": TOKENS, "--m-max": TOKENS}),
+    "eval-float --grid": (
+        "float",
+        [],
+        {"--grid": TOKENS, "--fourier-k": TOKENS, "--m-max": TOKENS},
+    ),
+    "approx": ("approx", [TOKENS], {}),
+    "coeffs": ("coeffs", [st.sampled_from(["c", "F", "d", "G", "x"]), TOKENS], {}),
+    "deriv": ("exact", [TOKENS, TOKENS, TOKENS], {}),
+    "taylor": ("exact", [TOKENS, TOKENS, TOKENS], {}),
+    "fourier-coeffs": ("fourier", [TOKENS], {"--m-max": TOKENS}),
+    "mc --samples": (
+        "mc",
+        [MC_X],
+        {"--samples": TOKENS, "--depth": TOKENS, "--seed": TOKENS},
+    ),
+}
 
 
 @st.composite
-def grid_argv(draw):
-    """(mode, argv) for table, eval, eval-float --grid or approx."""
-    command = draw(st.sampled_from(sorted(MODES)))
-    args = [draw(TOKENS) for _ in range(2 if command == "eval" else 1)]
-    if command == "eval-float":
-        args.insert(0, "--grid")
+def cli_argv(draw):
+    """(mode, argv) for any command but selftest."""
+    label = draw(st.sampled_from(sorted(GRAMMAR)))
+    mode, positionals, options = GRAMMAR[label]
+    command, *required = label.split()
+    argv = ["--json"] if draw(st.booleans()) else []
+    argv.append(command)
+    for flag, token in options.items():
+        if flag in required or draw(st.booleans()):
+            argv += [flag, draw(token)]
     if draw(st.booleans()):
-        args += ["--max-level", draw(TOKENS)]
-    flags = ["--json"] if draw(st.booleans()) else []
-    return MODES[command], [*flags, command, *args]
+        argv.append("--")  # so that -inf or -1 reads as a positional
+    argv += [draw(token) for token in positionals]
+    return mode, argv
 
 
 class TestGeneratedArgv:
-    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-    @given(grid_argv())
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(cli_argv())
     def test_answer_or_usage_error(self, drawn):
         mode, argv = drawn
         out, err = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as mp:
-            for name, cap in LOW_CAPS.items():
-                mp.setattr(f"fabius.cli.{name}", cap)
+            for target, cap in LOW_CAPS.items():
+                mp.setattr(target, cap)
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
         out, err = out.getvalue(), err.getvalue()

@@ -1,10 +1,12 @@
 """Each command loads only the layers it runs.
 
-numpy loads only when a Monte Carlo block is drawn; the exact commands
-leave ``spectral``, ``stochastic``, ``approximants`` and ``json`` unloaded;
-no command but ``selftest`` loads ``dataclasses``; and ``import fabius``
-loads the exact core and resolves the other layers' names on first use.  No
-module of the package imports another module's underscore name.
+numpy loads only when a Monte Carlo block is drawn; ``import fabius`` and
+``import fabius.cli`` load no layer and not ``fractions``, and the package
+resolves each name on first use; the exact core loads only with a command
+that runs it; the exact commands leave ``spectral``, ``stochastic``,
+``approximants`` and ``json`` unloaded; and no command but ``selftest``
+loads ``dataclasses``.  No module of the package imports another module's
+underscore name.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported everything.  The child imports the same checkout as this
@@ -12,7 +14,6 @@ process, installed or not.
 """
 
 import ast
-import json
 import os
 import subprocess
 import sys
@@ -29,8 +30,10 @@ from fabius.exact import taylor_at
 from fabius.selftest import CriterionResult
 from fabius.stochastic import McEstimate
 
+# the exact core and the one standard module that loads with it
+CORE = ["fractions", "fabius.core", "fabius.coefficients", "fabius.exact"]
 LAYERS = ["fabius.spectral", "fabius.stochastic", "fabius.approximants"]
-WATCHED = ["numpy", "json", "dataclasses", *LAYERS]
+WATCHED = ["numpy", "json", "dataclasses", *CORE, *LAYERS]
 
 # (argv, exit code); the mc depths and sample count are rejected before any
 # block is drawn
@@ -84,9 +87,9 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def _run(commands):
+def _run(commands, child=CHILD):
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, repr(WATCHED), repr(commands)],
+        [sys.executable, "-c", child, repr(WATCHED), repr(commands)],
         capture_output=True,
         text=True,
         env=_child_env(),
@@ -117,20 +120,38 @@ def test_monte_carlo_draw_loads_numpy():
 
 
 def test_core_commands_load_only_the_exact_core():
+    # eval, the first, loads all of the core; the others load nothing more
     records = _run([argv for argv, _ in CORE_COMMANDS])
     assert records == [("import", 0, [])] + [
-        (" ".join(argv), code, []) for argv, code in CORE_COMMANDS
+        (" ".join(argv), code, CORE) for argv, code in CORE_COMMANDS
     ]
+
+
+def test_commands_off_the_exact_core_never_load_it():
+    # argparse rejections included: the core loads only with a command that
+    # reads it, never with the import or a rejected argv
+    commands = [
+        ["eval", "x", "3"],
+        ["frobnicate"],
+        ["mc", "-0.5", "--samples", "1000"],
+        ["fourier-coeffs", "4"],
+        ["eval-float", "0.3"],
+    ]
+    records = _run(commands)
+    assert [(label, code) for label, code, _ in records] == [("import", 0)] + [
+        (" ".join(argv), code) for argv, code in zip(commands, [1, 1, 0, 0, 0])
+    ]
+    assert [set(loaded) & set(CORE) for _, _, loaded in records] == [set()] * 6
 
 
 @pytest.mark.parametrize(
     "argv,loads",
     [
-        (["approx", "4"], ["fabius.approximants"]),
+        (["approx", "4"], ["fractions", "fabius.core", "fabius.approximants"]),
         (["eval-float", "0.3"], ["fabius.spectral"]),
         (["fourier-coeffs", "4"], ["fabius.spectral"]),
         (["mc", "-0.5", "--samples", "1000"], ["numpy", "json", "fabius.stochastic"]),
-        (["--json", "eval", "1", "3"], ["json"]),
+        (["--json", "eval", "1", "3"], ["json", *CORE]),
     ],
 )
 def test_each_layer_loads_with_its_command(argv, loads):
@@ -148,15 +169,24 @@ def test_no_command_but_selftest_loads_dataclasses():
     assert not any(loaded for _, _, loaded in _loaded(records, "dataclasses"))
 
 
-# Resolves every public name of a freshly imported package and prints
-# [layers loaded by the import, {name: [layers whose __all__ lists it and
+# Looks up the layer core and then every public name of a freshly imported
+# package, and prints one record: [the fabius and watched modules loaded by
+# the import, those loaded once fabius.core is looked up, whether that
+# lookup handed out the layer, {name: [layers whose __all__ lists it and
 # whose object the package hands out]}].
 RESOLVE = textwrap.dedent(
     """
-    import importlib, json, sys
+    import importlib, sys
+
+    watched = eval(sys.argv[1])
+
+    def loaded():
+        return sorted(m for m in sys.modules if m.startswith("fabius.") or m in watched)
 
     import fabius
-    loaded = [m for m in sys.modules if m.startswith("fabius.")]
+    on_import = loaded()
+    core = fabius.core
+    with_core = loaded()
     homes = {}
     for name in fabius.__all__:
         value = getattr(fabius, name)
@@ -165,22 +195,16 @@ RESOLVE = textwrap.dedent(
             module = importlib.import_module("fabius." + layer)
             if name in module.__all__ and getattr(module, name) is value:
                 homes.setdefault(name, []).append(layer)
-    print(json.dumps([loaded, homes]))
+    print(repr([on_import, with_core, core is sys.modules["fabius.core"], homes]))
     """
 )
 
 
-def test_package_loads_the_exact_core_and_resolves_the_rest_on_first_use():
-    proc = subprocess.run(
-        [sys.executable, "-c", RESOLVE],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded, homes = json.loads(proc.stdout)
-    assert sorted(loaded) == ["fabius.coefficients", "fabius.core", "fabius.exact"]
+def test_package_loads_no_layer_and_resolves_every_name_on_first_use():
+    [(on_import, with_core, is_layer, homes)] = _run([], RESOLVE)
+    assert on_import == []
+    # a layer's own name loads that layer alone
+    assert (with_core, is_layer) == (["fabius.core", "fractions"], True)
     # exactly one layer lists each name, and the package hands out its object
     assert sorted(homes) == sorted(fabius.__all__)
     assert all(len(layers) == 1 for layers in homes.values())
