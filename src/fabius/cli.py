@@ -53,8 +53,9 @@ MAX_LEVEL = 128
 # approx M has degree 2^(M+1) - M - 2, and each further M costs about 4x;
 # M = 16 takes about 1 s.
 MAX_APPROX_LEVEL = 16
-# eval-float --grid L prints 2^(L+1) + 1 rows; L = 14 took 0.42-0.60 s.  It
-# also caps the level scan of eval and table, whose cost doubles per level.
+# eval-float --grid L prints 2^(L+1) + 1 rows; L = 14 took 0.54-0.56 s on a
+# 2-vCPU VM.  It also caps the level scan of eval and table, whose cost
+# doubles per level.
 MAX_GRID_LEVEL = 14
 # Default --max-level; table 12 takes about 0.1 s.  A table has 2^n + 1 rows,
 # so each further level doubles the output, and scripts and tests rely on
@@ -64,8 +65,7 @@ DEFAULT_MAX_LEVEL = 12
 # turning the values into decimal strings.
 MAX_COEFFS = 300
 # Synthesis length K: time grows linearly in K, so fourier-coeffs 10^5 took
-# 2.3 s; fourier-coeffs 1024 takes 0.12 s, and eval-float --grid 14 at
-# K = 1024 about 5 s.
+# 2.3 s.
 MAX_FOURIER_K = 1024
 # Product truncation m_max: 2^m_max must convert to a float, so 1023 is the
 # largest; fourier-coeffs 1024 --m-max 1023 takes about 0.15 s.

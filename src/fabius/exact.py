@@ -22,11 +22,14 @@ differences build a level's O(n^3) polynomials, B_m of degree n - m
 (Prouhet), and they are the only state kept.  A point then costs one
 Horner pass per block and a single Fraction, O(n^2) bigint steps.
 
-A whole level stays in integers over one denominator.  The walk gives
-d phi(q/2^n) over the plan's denominator d for q <= 2^(n-1), the reflection
-phi(t) = 1 - phi(1-t) gives the rest as d - v, and the minimal level
-denominator is D = d / gcd(d, numerators); :func:`level_numerators` returns
-those numerators with D.
+A whole level stays in integers over one denominator d, the plan's, and
+comes from one recurrence over the same blocks: W(q) = d - d phi(q/2^n) has
+W(0) = 0 and W(2^m + r) = B_m(2^(m+1) + 2r - 1) - W(r) for m < n, r < 2^m.
+This is the walk read along the highest set bit m of q: bit n of q + 2^n
+gives d, bit m gives -B_m(2q - 1), and every lower block flips sign.  Each q
+costs one Horner pass of degree n - m, and no symmetry of phi is applied.
+The minimal level denominator is D = d / gcd(d, numerators), and
+:func:`level_numerators` returns those numerators with D.
 
 The plan holds every derivative: A_n(y) = sum_k C(n, 2k) c_k y^(n-2k) is
 an Appell sequence, so with Prouhet phi^(k)(q/2^n)/k! is 2^(k(n+1)) times
@@ -115,12 +118,24 @@ def _level_plan(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return d, tuple(blocks)
 
 
-def _taylor_walk(q: int, n: int, order: int) -> list[int]:
-    # |q| < 2^n, of any parity, and order <= n; blocks as in the module doc.
-    # Entry k is d phi^(k)(q/2^n) / (k! 2^(k(n+1))), d the plan's denominator
-    blocks = _level_plan(n)[1]
-    top = q + (1 << n)
-    totals = [0] * (order + 1)
+def _horner(p, y: int) -> int:
+    # p(y) for p's coefficients listed highest power first
+    value = 0
+    for a in p:
+        value = value * y + a
+    return value
+
+
+def _taylor(t: Dyadic, order: int) -> list[Fraction]:
+    # phi^(k)(t)/k!, k <= order: zero outside (-1, 1) and above order t.exp.
+    # q = t.num of any parity; blocks as in the module doc, and entry k of
+    # totals is d phi^(k)(t) / (k! 2^(k(n+1))), d the plan's denominator
+    n = t.exp
+    if abs(t.num) >= (1 << n):
+        return [Fraction(0)] * (order + 1)
+    d, blocks = _level_plan(n)
+    top = t.num + (1 << n)
+    totals = [0] * (min(order, n) + 1)
     start = 0
     for m in range(n, -1, -1):
         if top >> m & 1:
@@ -132,21 +147,8 @@ def _taylor_walk(q: int, n: int, order: int) -> list[int]:
                 for i in range(1, len(p)):  # divide by (x - y), remainder last
                     p[i] += p[i - 1] * y
                 totals[k] += sign * p.pop()
-            value = 0
-            for a in p:  # the last order needs only the remainder: Horner
-                value = value * y + a
-            totals[last] += sign * value
+            totals[last] += sign * _horner(p, y)  # the last order: the remainder
             start += 1 << m
-    return totals
-
-
-def _taylor(t: Dyadic, order: int) -> list[Fraction]:
-    # phi^(k)(t)/k!, k <= order: zero outside (-1, 1) and above order t.exp
-    n = t.exp
-    if abs(t.num) >= (1 << n):
-        return [Fraction(0)] * (order + 1)
-    d = _level_plan(n)[0]
-    totals = _taylor_walk(t.num, n, min(order, n))
     coeffs = [Fraction(v << k * (n + 1), d) for k, v in enumerate(totals)]
     return coeffs + [Fraction(0)] * (order - n)
 
@@ -159,15 +161,18 @@ def phi_exact(t: Dyadic | int | Fraction) -> Fraction:
 def level_numerators(n: int) -> tuple[list[int], int]:
     """(D phi(q/2^n) for q = 0..2^n, D) with D the minimal level denominator.
 
-    q > 2^(n-1) by reflection, as d - v over the plan's denominator d; D is
-    d / gcd(d, numerators).
+    Every q, the upper half included, comes from one recurrence over the
+    level plan: W(q) = d - d phi(q/2^n), d the plan's denominator, is
+    W(0) = 0 and W(2^m + r) = B_m(2^(m+1) + 2r - 1) - W(r) for m < n and
+    r < 2^m (see the module doc).  D is d / gcd(d, numerators).
     """
     if n < 0:
         raise ValueError("level n must be >= 0")
-    d = _level_plan(n)[0]
-    top = 1 << n
-    half = [_taylor_walk(q, n, 0)[0] for q in range(top // 2 + 1)]
-    numerators = half + [d - half[top - q] for q in range(len(half), top + 1)]
+    d, blocks = _level_plan(n)
+    w = [0]
+    for m in range(n):
+        w += [_horner(blocks[m], (2 << m) + 2 * r - 1) - w[r] for r in range(1 << m)]
+    numerators = [d - v for v in w] + [0]
     g = gcd(d, *numerators)
     return [v // g for v in numerators], d // g
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fabius.approximants import step_function
@@ -883,9 +883,28 @@ def cli_argv(draw):
     return mode, argv
 
 
+# where q and n sit among the positionals of the commands that take a point
+POINT_ARGS = {"eval": slice(-2, None), "deriv": slice(-2, None), "taylor": slice(-3, -1)}
+
+
+def printed_values(argv: list[str], out: str) -> list[str]:
+    """Every value that eval, deriv or taylor printed to ``out``: the value,
+    eval's level numerator and taylor's coefficients, plain or JSON."""
+    if argv[0] == "--json":
+        payload = json.loads(out)["payload"]
+        scalars = [payload[k] for k in ("value", "level_numerator") if k in payload]
+        return scalars + payload.get("coeffs", [])
+    if argv[0] == "taylor":
+        return [line.split("\t")[1] for line in out.splitlines()]
+    return [line.split("/")[0] for line in out.splitlines()]
+
+
 class TestGeneratedArgv:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(cli_argv())
+    # taylor accepts centers in [-1, 1] only, so few draws reach its edges
+    @example(("exact", ["taylor", "-2", "1", "3"]))
+    @example(("exact", ["--json", "taylor", "4", "2", "3"]))
     def test_answer_or_usage_error(self, drawn):
         mode, argv = drawn
         out, err = io.StringIO(), io.StringIO()
@@ -903,3 +922,8 @@ class TestGeneratedArgv:
             assert err == "", argv
             if argv[0] == "--json":
                 assert json.loads(out)["mode"] == mode, argv
+            command = argv[argv[0] == "--json"]
+            if command in POINT_ARGS:
+                q, n = map(int, argv[POINT_ARGS[command]])
+                if abs(q) >= 1 << n:  # outside (-1, 1), phi and its derivatives are 0
+                    assert set(printed_values(argv, out)) == {"0"}, argv
