@@ -11,74 +11,42 @@ Exact paths work in integers, ``fractions.Fraction`` and the canonical
 synthesis and the Monte Carlo oracle.
 
 Every public name is importable from the package: the names in the
-``__all__`` of each layer.  ``import fabius`` loads no layer: a layer loads
-when one of its names, or the layer itself, is first looked up, so each CLI
-command loads only the layers it runs.
+``__all__`` of each layer, which is the one place each is written.
+``import fabius`` loads no layer.  The layer's own name (``fabius.exact``)
+loads that layer alone.  Any other name loads the layers in ``__all__``
+order, ``core``, ``coefficients``, ``exact``, ``approximants``,
+``spectral``, ``stochastic``, binding each one's names here, up to the
+first layer that lists it: ``fabius.Dyadic`` loads ``core`` alone,
+``fabius.mc_phi`` all six.  ``__all__`` and ``dir()`` load every layer.
+The CLI imports each layer as a module, so each command loads only the
+layers it runs.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# each layer's ``__all__``, which cannot be read without importing the layer
-_LAYERS = {
-    "core": ("Dyadic", "canonical_dyadic", "val2", "thue_morse_sign"),
-    "coefficients": (
-        "TableIntegrityError",
-        "series_coefficients",
-        "series_integer_numerators",
-        "exp_moment_coefficients",
-        "exp_moment_integer_numerators",
-        "moment",
-        "phi_near_one",
-        "phi_near_one_from_series",
-        "CoefficientTable",
-    ),
-    "exact": (
-        "phi_exact",
-        "phi_exact_raw",
-        "level_numerators",
-        "phi_derivative",
-        "taylor_at",
-        "TaylorPolynomial",
-        "level_denominator_bound",
-    ),
-    "approximants": (
-        "partition_polynomial",
-        "restricted_partitions",
-        "StepFunction",
-        "step_function",
-    ),
-    "spectral": (
-        "DEFAULT_M_MAX",
-        "DEFAULT_FOURIER_K",
-        "transform_product",
-        "transform_series",
-        "transform_pole_product",
-        "fourier_coefficients",
-        "phi_fourier",
-        "translate_sum",
-        "poisson_check",
-    ),
-    "stochastic": ("BLOCK_SIZE", "McEstimate", "mc_phi"),
-}
-_HOMES = {name: module for module, names in _LAYERS.items() for name in names}
-
-__all__ = list(_HOMES)
+_LAYERS = ("core", "coefficients", "exact", "approximants", "spectral", "stochastic")
 
 
 def __getattr__(name):
-    # PEP 562: called only for names not yet in globals().  A layer's own
-    # name imports it, which binds it here; cache each other name.
+    # PEP 562: called only for names not yet in globals().  Other dunder
+    # probes (``__wrapped__``, ``__test__``) load nothing.
     if name in _LAYERS:
         return importlib.import_module(f".{name}", __name__)
-    home = _HOMES.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{home}", __name__), name)
-    globals()[name] = value
-    return value
+    if name == "__all__" or not name.startswith("__"):
+        names = []
+        for layer in _LAYERS:
+            module = importlib.import_module(f".{layer}", __name__)
+            globals().update((key, getattr(module, key)) for key in module.__all__)
+            if name in module.__all__:
+                return getattr(module, name)
+            names += module.__all__
+        if name == "__all__":
+            globals()[name] = names
+            return names
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted({*globals(), *__getattr__("__all__")})

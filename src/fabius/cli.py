@@ -192,9 +192,12 @@ def _cmd_eval_float(args) -> int:
     level = args.grid
     numerators, d = level_numerators(level)
     # Rows q and -q share one synthesis: (2k+1)*pi*(-t) is exactly
-    # -((2k+1)*pi*t) and cos is even, so both sums are bit-identical, and
-    # q / (1 << level) is q/2^level rounded once to the nearest double, as
-    # v / d is phi(q/2^level).  Python's int division rounds correctly.
+    # -((2k+1)*pi*t) and cos is even, so both sums are bit-identical.  They
+    # share one exact value too, by the evenness phi(-t) = phi(t), which
+    # this command applies and test_grid_matches_per_row_synthesis checks
+    # at every row.  q / (1 << level) is q/2^level rounded once to the
+    # nearest double, as v / d is phi(q/2^level).  Python's int division
+    # rounds correctly.
     synth = [spectral.phi_fourier(q / (1 << level), fc) for q in range(len(numerators))]
     exact = [str(Fraction(v, d)) for v in numerators]
     err = [abs(a - v / d) for a, v in zip(synth, numerators)]

@@ -6,16 +6,20 @@ import io
 import json
 import random
 import sys
+import tracemalloc
 from argparse import Namespace
 from fractions import Fraction
 from pathlib import Path
 
+# mc imports numpy at its first draw; imported here, so that no peak under
+# PEAK_BOUND counts that one-time import
+import numpy  # noqa: F401
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fabius.approximants import step_function
-from fabius.cli import MAX_FOURIER_K, MAX_M_MAX, _emit, entry, main
+from fabius.cli import MAX_FOURIER_K, MAX_M_MAX, _emit, build_parser, entry, main
 from fabius.coefficients import phi_near_one
 from fabius.core import Dyadic
 from fabius.exact import phi_derivative, phi_exact, taylor_at
@@ -841,6 +845,11 @@ FLOATS = st.one_of(
 MC_X = st.sampled_from(
     ["-1", "-0.75", "-0.0", "-5e-324", "0", "nan", "-inf", "5e-324", "1e308", "x"]
 )
+# tracemalloc's peak for any drawn argv, in bytes, the parser excluded.  The
+# most the grammar can reach, ``--json fourier-coeffs --m-max 1023 1024``,
+# peaks at about 160 KB on Python 3.10 and 3.11 (90 KB on 3.12); a grid two
+# levels past its lowered cap, ``--json eval-float --grid 7``, at 280 KB.
+PEAK_BOUND = 200 * 1024
 # label: (JSON mode, positionals, options), each a strategy for its token.  A
 # label's first word is the command, and the options it names are always
 # drawn: mc's default is 100 000 samples.
@@ -905,16 +914,29 @@ class TestGeneratedArgv:
     # taylor accepts centers in [-1, 1] only, so few draws reach its edges
     @example(("exact", ["taylor", "-2", "1", "3"]))
     @example(("exact", ["--json", "taylor", "4", "2", "3"]))
+    # two levels past the lowered grid cap, where a JSON grid would peak
+    # above PEAK_BOUND
+    @example(("float", ["--json", "eval-float", "--grid", "7"]))
     def test_answer_or_usage_error(self, drawn):
         mode, argv = drawn
         out, err = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as mp:
             for target, cap in LOW_CAPS.items():
                 mp.setattr(target, cap)
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
+            # main's parser is the same for every argv: built untraced, so
+            # that the peak counts what this argv costs, and cheaply
+            parser = build_parser()
+            mp.setattr("fabius.cli.build_parser", lambda: parser)
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         out, err = out.getvalue(), err.getvalue()
         assert code in (0, 1), argv
+        assert peak < PEAK_BOUND, (argv, peak)
         if code == 1:
             assert out == "", argv
             assert err.startswith(("fabius: error:", "usage:")), argv

@@ -169,6 +169,48 @@ def test_no_command_but_selftest_loads_dataclasses():
     assert not any(loaded for _, _, loaded in _loaded(records, "dataclasses"))
 
 
+# Runs the argv of the list literal in argv[2] as ``python -m fabius.cli``
+# does, through runpy and ``entry``, and prints one record when the
+# interpreter exits: [label, exit code, the modules of the list literal in
+# argv[1] that are loaded].
+MODULE_CHILD = textwrap.dedent(
+    """
+    import atexit, contextlib, io, runpy, sys
+
+    watched = eval(sys.argv[1])
+    argv = eval(sys.argv[2])
+    code = None
+
+    def report():
+        loaded = [name for name in watched if name in sys.modules]
+        print(repr([" ".join(argv), code, loaded]), flush=True)
+
+    atexit.register(report)
+    sys.argv = ["fabius", *argv]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            runpy.run_module("fabius.cli", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "argv,code,loads",
+    [
+        (["fourier-coeffs", "4"], 0, ["fabius.spectral"]),
+        (["eval-float", "0.3"], 0, ["fabius.spectral"]),
+        (["frobnicate"], 1, []),
+        (["eval", "1", "3"], 0, CORE),
+    ],
+)
+def test_the_module_entry_loads_what_main_loads(argv, code, loads):
+    # no probe of the package at start-up or exit loads a layer
+    assert _run(argv, MODULE_CHILD) == [(" ".join(argv), code, loads)]
+
+
 # Looks up the layer core and then every public name of a freshly imported
 # package, and prints one record: [the fabius and watched modules loaded by
 # the import, those loaded once fabius.core is looked up, whether that
