@@ -249,23 +249,15 @@ def _cmd_coeffs(args) -> int:
     n = args.count
     if not 0 <= n <= MAX_COEFFS:
         raise ValueError(f"coeffs count must be in 0..{MAX_COEFFS}")
-    from .coefficients import (
-        exp_moment_coefficients,
-        exp_moment_integer_numerators,
-        series_coefficients,
-        series_integer_numerators,
-    )
+    from . import coefficients
 
-    if args.which == "c":
-        values = [str(v) for v in series_coefficients(n)]
-    elif args.which == "F":
-        values = [str(v) for v in series_integer_numerators(series_coefficients(n))]
-    elif args.which == "d":
-        values = [str(v) for v in exp_moment_coefficients(n)]
-    else:
-        values = [
-            str(v) for v in exp_moment_integer_numerators(exp_moment_coefficients(n))
-        ]
+    sequence = {
+        "c": coefficients.series_coefficients,
+        "F": coefficients.series_integer_numerators,
+        "d": coefficients.exp_moment_coefficients,
+        "G": coefficients.exp_moment_integer_numerators,
+    }[args.which]
+    values = [str(v) for v in sequence(n)]
     _emit(
         args,
         "coeffs",

@@ -9,13 +9,14 @@ Two recurrences drive everything:
   with (n+1)(2^n - 1) d_n = sum_{k<n} C(n+1, k) d_k.
 
 Both sequences admit integer normalizations: F_k and G_n scale c_k and d_n by
-the product of their divisors up to index k or n.  A non-integer result there
-can only mean a corrupted table and is treated as a hard failure.
+the product of their divisors up to index k or n.
 The ordinary moments int_0^1 t^n phi(t) dt and the values phi(1 - 2^-n) follow
 exactly from d and c, by two independent routes that the test suite compares.
 Each sequence is one extend-only store shared by all callers.  Entry k of a
 store is the pair (x_k * divisor(1) * ... * divisor(k), x_k): the integer that
-the recurrence is summed in, then the value, reduced once.
+the recurrence is summed in, which is F_k or G_k, then the value, reduced
+once.  Every public sequence takes a length n_max and reads its first n_max + 1
+entries from the store, the integers or the values.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from math import comb, factorial
 from typing import NamedTuple
 
 __all__ = [
-    "TableIntegrityError",
     "series_coefficients",
     "series_integer_numerators",
     "exp_moment_coefficients",
@@ -39,27 +39,31 @@ __all__ = [
 ]
 
 
-class TableIntegrityError(ArithmeticError):
-    """A normalization that must be an integer failed to be one."""
-
-
 # c and d as solved so far; both only grow, under the one lock
 _C: list[tuple[int, Fraction]] = [(1, Fraction(1))]
 _D: list[tuple[int, Fraction]] = [(1, Fraction(1))]
 _STORE_LOCK = threading.Lock()
 
 
-# the divisors of c_k and d_n in the recurrences above
+# the binomial of term h and the divisor of c_k and d_n in the recurrences above
+def _c_binomial(k: int, h: int) -> int:
+    return comb(2 * k + 1, 2 * h)
+
+
 def _c_divisor(k: int) -> int:
     return (2 * k + 1) * ((1 << (2 * k)) - 1)
+
+
+def _d_binomial(n: int, k: int) -> int:
+    return comb(n + 1, k)
 
 
 def _d_divisor(n: int) -> int:
     return (n + 1) * ((1 << n) - 1)
 
 
-def _solve(store: list, n_max: int, binomial, divisor) -> tuple[Fraction, ...]:
-    # x_0..x_n_max; the store grows by x_k = sum_{h<k} binomial(k, h) x_h / divisor(k).
+def _solve(store: list, n_max: int, binomial, divisor) -> list[tuple[int, Fraction]]:
+    # entries 0..n_max; the store grows by x_k = sum_{h<k} binomial(k, h) x_h / divisor(k).
     # Scaled by divisor(1)..divisor(k-1), term h carries the divisors h+1..k-1, so
     # one upward Horner pass over the stored integers multiplies by divisor(h)
     # before adding term h; divisor(0) = 0 only multiplies the empty sum.
@@ -74,21 +78,7 @@ def _solve(store: list, n_max: int, binomial, divisor) -> tuple[Fraction, ...]:
             numerator, value = store[-1]
             scale = numerator // value.numerator * value.denominator * divisor(k)
             store.append((acc, Fraction(acc, scale)))
-        return tuple(value for _, value in store[: n_max + 1])
-
-
-def _integer_numerators(values, divisor, name: str) -> tuple[int, ...]:
-    # x_k * divisor(1) * ... * divisor(k), a positive integer unless x is corrupt
-    out = []
-    scale = 1
-    for k, x in enumerate(values):
-        if k > 0:
-            scale *= divisor(k)
-        value = x * scale
-        if value.denominator != 1 or value <= 0:
-            raise TableIntegrityError(f"{name}[{k}] is not a positive integer: {value}")
-        out.append(value.numerator)
-    return tuple(out)
+        return store[: n_max + 1]
 
 
 # exact._weights asks for a prefix again when two levels share n//2 (eval 2 9
@@ -97,23 +87,29 @@ def _integer_numerators(values, divisor, name: str) -> tuple[int, ...]:
 @lru_cache(maxsize=1)
 def series_coefficients(n_max: int) -> tuple[Fraction, ...]:
     """The rationals c_0..c_n_max; c_0 = 1, all strictly positive."""
-    return _solve(_C, n_max, lambda k, h: comb(2 * k + 1, 2 * h), _c_divisor)
+    return tuple(value for _, value in _solve(_C, n_max, _c_binomial, _c_divisor))
 
 
-def series_integer_numerators(c: tuple[Fraction, ...]) -> tuple[int, ...]:
-    """F_k = c_k * (2k+1)!! * prod_{j<=k} (2^(2j) - 1); always a positive integer."""
-    return _integer_numerators(c, _c_divisor, "F")
+def series_integer_numerators(n_max: int) -> tuple[int, ...]:
+    """The positive integers F_0..F_n_max, F_k = c_k * (2k+1)!! * prod_{j<=k} (2^(2j) - 1).
+
+    They are the integers the c store is summed in, read from it as they are.
+    """
+    return tuple(f for f, _ in _solve(_C, n_max, _c_binomial, _c_divisor))
 
 
 @lru_cache(maxsize=1)
 def exp_moment_coefficients(n_max: int) -> tuple[Fraction, ...]:
     """The rationals d_0..d_n_max; d_0 = 1."""
-    return _solve(_D, n_max, lambda n, k: comb(n + 1, k), _d_divisor)
+    return tuple(value for _, value in _solve(_D, n_max, _d_binomial, _d_divisor))
 
 
-def exp_moment_integer_numerators(d: tuple[Fraction, ...]) -> tuple[int, ...]:
-    """G_n = d_n * (n+1)! * prod_{k<=n} (2^k - 1); always a positive integer."""
-    return _integer_numerators(d, _d_divisor, "G")
+def exp_moment_integer_numerators(n_max: int) -> tuple[int, ...]:
+    """The positive integers G_0..G_n_max, G_n = d_n * (n+1)! * prod_{k<=n} (2^k - 1).
+
+    They are the integers the d store is summed in, read from it as they are.
+    """
+    return tuple(g for g, _ in _solve(_D, n_max, _d_binomial, _d_divisor))
 
 
 def moment(n: int) -> Fraction:
@@ -156,15 +152,13 @@ class CoefficientTable(NamedTuple):
 
     @classmethod
     def build(cls, n_max: int) -> CoefficientTable:
-        c = series_coefficients(n_max)
-        d = exp_moment_coefficients(n_max)
         moments = tuple(moment(n) for n in range(n_max + 1))
         near_one = (Fraction(1),) + tuple(phi_near_one(n) for n in range(1, n_max + 1))
         return cls(
-            c=c,
-            F=series_integer_numerators(c),
-            d=d,
-            G=exp_moment_integer_numerators(d),
+            c=series_coefficients(n_max),
+            F=series_integer_numerators(n_max),
+            d=exp_moment_coefficients(n_max),
+            G=exp_moment_integer_numerators(n_max),
             moments=moments,
             phi_near_one=near_one,
         )

@@ -73,10 +73,13 @@ class Dyadic:
 
     @classmethod
     def from_fraction(cls, value: Dyadic | Fraction | int) -> Dyadic:
-        """Exact conversion, a Dyadic returned as it is; rejects non-dyadic rationals."""
+        """Exact conversion, a Dyadic returned as it is; rejects non-dyadic and non-finite input."""
         if isinstance(value, Dyadic):
             return value
-        value = Fraction(value)
+        try:
+            value = Fraction(value)
+        except OverflowError as exc:  # +-inf; NaN raises ValueError itself
+            raise ValueError(str(exc)) from None
         den = value.denominator
         if den & (den - 1):
             raise ValueError(f"{value} is not a dyadic rational")

@@ -102,7 +102,7 @@ def criterion_1_golden_table():
 
 @_criterion("integer numerators F[0..4]", budget_s=0.1)
 def criterion_2_integer_numerators():
-    F = coefficients.series_integer_numerators(coefficients.series_coefficients(4))
+    F = coefficients.series_integer_numerators(4)
     return F == (1, 1, 19, 2915, 2788989), str(F)
 
 

@@ -601,17 +601,6 @@ class TestIntegrityViolation:
         assert (code, out) == (2, "")
         assert err == "fabius: integrity violation: expected an integer, got 67/24\n"
 
-    def test_coeffs_non_integer_numerator(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            "fabius.coefficients.series_coefficients",
-            lambda n: (Fraction(1), Fraction(1, 7)),
-        )
-        code, out, err = run_cli(capsys, "coeffs", "F", "1")
-        assert (code, out) == (2, "")
-        assert err == (
-            "fabius: integrity violation: F[1] is not a positive integer: 9/7\n"
-        )
-
 
 class TestConsoleScript:
     def test_module_and_script_entry_points(self):
