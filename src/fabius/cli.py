@@ -53,7 +53,7 @@ MAX_LEVEL = 128
 # approx M has degree 2^(M+1) - M - 2, and each further M costs about 4x;
 # M = 16 takes about 1 s.
 MAX_APPROX_LEVEL = 16
-# eval-float --grid L prints 2^(L+1) + 1 rows; L = 14 took 0.54-0.56 s on a
+# eval-float --grid L prints 2^(L+1) + 1 rows; L = 14 took 0.30-0.31 s on a
 # 2-vCPU VM.  It also caps the level scan of eval and table, whose cost
 # doubles per level.
 MAX_GRID_LEVEL = 14
@@ -61,8 +61,8 @@ MAX_GRID_LEVEL = 14
 # so each further level doubles the output, and scripts and tests rely on
 # table 13 being a usage error.
 DEFAULT_MAX_LEVEL = 12
-# coeffs G 300 takes about 1 s and coeffs c 300 about 3.5 s, half of it in
-# turning the values into decimal strings.
+# coeffs G 300 took 0.72-0.85 s and coeffs c 300 2.75-3.13 s on a 2-vCPU VM,
+# about half of the latter in turning the values into decimal strings.
 MAX_COEFFS = 300
 # Synthesis length K: time grows linearly in K, so fourier-coeffs 10^5 took
 # 2.3 s.
@@ -74,6 +74,25 @@ MAX_M_MAX = 1023
 
 def _float_str(x: float) -> str:
     return format(x, ".17g")
+
+
+class _FloatToken:
+    """Tells argparse which tokens that start with "-" are values, not options.
+
+    argparse reads such a token as a value only when the parser's
+    ``_negative_number_matcher`` matches it, and its own pattern (through
+    Python 3.13) matches only integers and plain decimals, not ``-5e-1``,
+    ``-0.`` or ``-inf``.  Set on the subparsers of ``eval-float`` and ``mc``,
+    this one matches every token that ``float()`` accepts.
+    """
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
 
 
 def _max_level(args) -> int:
@@ -388,9 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("eval-float", help="float phi(t) via Fourier synthesis")
-    p.add_argument("t", type=float, nargs="?", default=0.0)
-    p.add_argument("--grid", type=int, default=None, metavar="LEVEL",
-                   help="emit CSV over the dyadic grid q/2^LEVEL instead")
+    p._negative_number_matcher = _FloatToken
+    point = p.add_mutually_exclusive_group()
+    point.add_argument("t", type=float, nargs="?", default=0.0)
+    point.add_argument("--grid", type=int, default=None, metavar="LEVEL",
+                       help="emit CSV over the dyadic grid q/2^LEVEL instead")
     p.add_argument("--fourier-k", type=int, default=None)
     p.add_argument("--m-max", type=int, default=None)
     p.set_defaults(func=_cmd_eval_float)
@@ -427,6 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fourier_coeffs)
 
     p = sub.add_parser("mc", help="Monte Carlo estimate of phi(x), x in [-1,0]")
+    p._negative_number_matcher = _FloatToken
     p.add_argument("x", type=float)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--depth", type=int, default=40)
@@ -440,13 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # CPython's int-to-str digit limit (0 when absent or already lifted):
-    # parsing keeps it, but exact results may exceed it
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # CPython's int-to-str digit limit: parsing keeps it, but exact results
+    # may exceed it
+    limit = sys.get_int_max_str_digits()
     try:
         args = build_parser().parse_args(argv)
-        if limit:
-            sys.set_int_max_str_digits(0)
+        sys.set_int_max_str_digits(0)
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe then raises here, not at exit
         return status
@@ -469,8 +490,7 @@ def main(argv=None) -> int:
         print(f"fabius: integrity violation: {exc}", file=sys.stderr)
         return INTEGRITY_ERROR
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 def entry():

@@ -59,13 +59,15 @@ def _commands():
         yield f"fourier-coeffs {k}"
         yield f"fourier-coeffs {k} --m-max 7"
     for t in ("0", "-0.0", "0.5", "-0.375", "1", "-1", "1.5", "1e-300", "5e-324",
-              "0.99999999999999989", "inf", "-inf", "nan"):
+              "0.99999999999999989", "inf", "-inf", "nan", "-1e-3", "-0."):
         yield f"eval-float {t}"
+    yield "eval-float 0.3 --grid 2"
     for level in range(11):
         yield f"eval-float --grid {level}"
     for x, samples in [("-0.5", 1 << 16), ("-0.25", 1000), ("0", 1), ("-1", 4096)]:
         for seed in (0, 7):
             yield f"mc {x} --samples {samples} --seed {seed}"
+    yield "mc -5e-1 --samples 1000"
 
 
 ARGV = [

@@ -95,17 +95,6 @@ class TestParallelBlocks:
             sys.setswitchinterval(interval)
         assert runs[0] == runs[1] == runs[2]
 
-    @pytest.mark.parametrize("depth", [8, 40, 64])
-    @pytest.mark.parametrize(
-        "count",
-        [1, stochastic._CHUNK - 1, stochastic._CHUNK, stochastic._CHUNK + 1, BLOCK_SIZE],
-    )
-    def test_chunked_kernel_matches_one_line_kernel(self, count, depth):
-        for x in (-0.75, -0.5, -0.3):
-            assert _block_hits(x, SEED, 5, count, depth) == _one_line_hits(
-                x, SEED, 5, count, depth
-            )
-
     @pytest.mark.parametrize("blocks,cpus,helpers", [(1, 2, 0), (4, 2, 1)])
     def test_helper_threads_started(self, monkeypatch, blocks, cpus, helpers):
         started = []
