@@ -16,7 +16,7 @@ largest level ``eval`` will scan to find the minimal common denominator.
 up to ``MAX_APPROX_LEVEL``, ``coeffs`` counts up to ``MAX_COEFFS``, and
 ``eval-float --grid`` as well as ``--max-level`` up to ``MAX_GRID_LEVEL``.
 The synthesis length is capped at ``MAX_FOURIER_K`` and the product
-truncation at ``MAX_M_MAX``.
+truncation at ``MAX_M_MAX``; both must be at least 1.
 
 Each command imports only the layers it runs, inside the functions that
 use them: importing this module loads no fabius layer and not ``fractions``,
@@ -116,15 +116,16 @@ def _point(args) -> Dyadic:
 
 def _fourier_args(args) -> tuple[int, int]:
     """(K, m_max) of ``args``: unset ones take spectral's defaults, and values
-    above ``MAX_FOURIER_K`` or ``MAX_M_MAX`` are rejected before any work."""
+    outside 1..``MAX_FOURIER_K`` or 1..``MAX_M_MAX`` are rejected before any
+    work."""
     from .spectral import DEFAULT_FOURIER_K, DEFAULT_M_MAX
 
     k = DEFAULT_FOURIER_K if args.fourier_k is None else args.fourier_k
     m_max = DEFAULT_M_MAX if args.m_max is None else args.m_max
-    if k > MAX_FOURIER_K:
-        raise ValueError(f"Fourier K must be at most {MAX_FOURIER_K}")
-    if m_max > MAX_M_MAX:
-        raise ValueError(f"--m-max must be at most {MAX_M_MAX}")
+    if not 1 <= k <= MAX_FOURIER_K:
+        raise ValueError(f"Fourier K must be at most {MAX_FOURIER_K} and at least 1")
+    if not 1 <= m_max <= MAX_M_MAX:
+        raise ValueError(f"--m-max must be at most {MAX_M_MAX} and at least 1")
     return k, m_max
 
 

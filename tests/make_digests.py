@@ -6,11 +6,13 @@ on an unchanged tree it writes the committed file again byte for byte.
 
 The argv list is fixed, not drawn, so that the corpus changes only when the
 list does.  It covers every command but ``selftest``, plain and ``--json``,
-together with the 13 malformed argv of the benchmark's ``cli`` workload.
-Stderr is not recorded: argparse words its messages differently across
-Python versions.  The float commands depend on the platform's libm.
+together with the 13 malformed argv of the benchmark's ``cli`` workload,
+which it reads from ``perfbench/workloads.py``.  Stderr is not recorded:
+argparse words its messages differently across Python versions.  The float
+commands depend on the platform's libm.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -21,22 +23,19 @@ from pathlib import Path
 from fabius.cli import main
 
 DIGESTS = Path(__file__).parent / "data" / "digests.json"
+WORKLOADS = Path(__file__).parents[1] / "perfbench" / "workloads.py"
 
-MALFORMED = [
-    "eval 1",
-    "eval x 3",
-    "coeffs Z 5",
-    "mc 0.5",
-    "table 13",
-    "taylor 1 3 -1",
-    "deriv -1 1 3",
-    "mc -0.5 --streams 0",
-    "mc -0.5 --depth 4",
-    "fourier-coeffs 0",
-    "approx -1",
-    "eval-float --grid -1",
-    "frobnicate",
-]
+
+def _malformed():
+    """The literal ``_MALFORMED`` of ``perfbench/workloads.py``, read without
+    importing the benchmark."""
+    module = ast.parse(WORKLOADS.read_text())
+    (value,) = [
+        node.value
+        for node in module.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_MALFORMED"
+    ]
+    return [" ".join(argv) for argv in ast.literal_eval(value)]
 
 
 def _commands():
@@ -72,7 +71,7 @@ def _commands():
 
 ARGV = [
     *(f"{flag}{cmd}" for cmd in _commands() for flag in ("", "--json ")),
-    *MALFORMED,
+    *_malformed(),
 ]
 
 

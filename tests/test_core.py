@@ -201,10 +201,3 @@ class TestDyadic:
         ):
             values = [f(t) for t in points]
             assert values == [values[0]] * len(points)
-
-
-class TestRationalSerialization:
-    @given(st.fractions(max_denominator=10**9), st.fractions(max_denominator=10**9))
-    def test_exactness(self, a, b):
-        assert (a + b) - b == a
-        assert a + b == b + a
