@@ -96,10 +96,10 @@ def phi_exact_raw(q: int, n: int) -> Fraction:
 # levels; a level grid and a Taylor vector build one plan each
 @lru_cache(maxsize=12)
 def _level_plan(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Common denominator D of level n and one integer polynomial per block size.
+    """Common denominator d of level n and one integer polynomial per block size.
 
     ``blocks[m]`` lists, highest power first, the coefficients of
-    B_m(y) = D * sum_{h<2^m} (-1)^s(h) f(y - 2h) with f(y) = sum_k w_k y^(n-2k),
+    B_m(y) = d * sum_{h<2^m} (-1)^s(h) f(y - 2h) with f(y) = sum_k w_k y^(n-2k),
     where w_k is the weight of exponent n - 2k.  Splitting h < 2^(m+1) into
     its two halves gives B_{m+1}(y) = B_m(y) - B_m(y - 2^(m+1)); the leading
     terms cancel, so B_m has degree n - m (Prouhet).

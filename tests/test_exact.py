@@ -28,15 +28,8 @@ from fabius.exact import (
     phi_exact_raw,
     taylor_at,
 )
+from fabius.selftest import GOLDEN_LEVEL5_DENOMINATOR, GOLDEN_LEVEL5_SCALED
 
-GOLDEN_LEVEL5 = (
-    33177600, 33177581, 33175312, 33152381, 33062400, 32842819, 32431088,
-    31780819, 30873600, 29707219, 28283888, 26622019, 24768000, 22784381,
-    20733712, 18662381, 16588800, 14515219, 12443888, 10393219, 8409600,
-    6555581, 4893712, 3470381, 2304000, 1396781, 746512, 334781, 115200,
-    25219, 2288, 19, 0,
-)
-D5 = 33177600
 TAYLOR_LEVEL5_GOLDEN = Path(__file__).parent / "data" / "taylor_level5_golden.txt"
 
 
@@ -141,13 +134,13 @@ class TestPhiExact:
         assert phi_exact(t) == expected
 
     def test_level5_table(self):
-        for q, scaled in enumerate(GOLDEN_LEVEL5):
-            assert phi_exact(Dyadic(q, 5)) == Fraction(scaled, D5)
+        for q, scaled in enumerate(GOLDEN_LEVEL5_SCALED):
+            assert phi_exact(Dyadic(q, 5)) == Fraction(scaled, GOLDEN_LEVEL5_DENOMINATOR)
 
     def test_denominator_bound_level5(self):
         # every scaled value is a non-negative integer
         for q in range(33):
-            scaled = phi_exact(Dyadic(q, 5)) * D5
+            scaled = phi_exact(Dyadic(q, 5)) * GOLDEN_LEVEL5_DENOMINATOR
             assert scaled.denominator == 1 and scaled >= 0
 
     def test_level_denominator_bound_is_common(self):
@@ -177,7 +170,7 @@ class TestRawFormula:
     def test_empty_sum_at_left_edge(self):
         assert phi_exact_raw(-1, 0) == 0
 
-    def test_differential_vs_folded_path(self):
+    def test_differential_vs_block_walk(self):
         # raw formula on its own, against the optimized evaluator, including
         # negative and non-canonical (even) numerators
         for n in range(0, 9):
