@@ -12,11 +12,14 @@ Both sequences admit integer normalizations: F_k and G_n scale c_k and d_n by
 the product of their divisors up to index k or n.
 The ordinary moments int_0^1 t^n phi(t) dt and the values phi(1 - 2^-n) follow
 exactly from d and c, by two independent routes that the test suite compares.
-Each sequence is one extend-only store shared by all callers.  Entry k of a
-store is the pair (x_k * divisor(1) * ... * divisor(k), x_k): the integer that
-the recurrence is summed in, which is F_k or G_k, then the value, reduced
-once.  Every public sequence takes a length n_max and reads its first n_max + 1
-entries from the store, the integers or the values.
+Each sequence is one extend-only store shared by all callers, and it holds
+integers only.  Entry k of a store is the pair (x_k * S_k, S_k) with
+S_k = divisor(1) * ... * divisor(k): the integer that the recurrence is summed
+in, which is F_k or G_k, then its scale.  Every public sequence takes a length
+n_max and reads its first n_max + 1 entries from the store.  F and G are read
+as summed; a value x_k = Fraction(x_k * S_k, S_k) is reduced only where it is
+read, for a whole prefix by series_coefficients and exp_moment_coefficients
+and for one entry by moment and phi_near_one_from_series.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ __all__ = [
 ]
 
 
-# c and d as solved so far; both only grow, under the one lock
-_C: list[tuple[int, Fraction]] = [(1, Fraction(1))]
-_D: list[tuple[int, Fraction]] = [(1, Fraction(1))]
+# c and d as solved so far, as (x_k * S_k, S_k); both only grow, under the one lock
+_C: list[tuple[int, int]] = [(1, 1)]
+_D: list[tuple[int, int]] = [(1, 1)]
 _STORE_LOCK = threading.Lock()
 
 
@@ -62,7 +65,7 @@ def _d_divisor(n: int) -> int:
     return (n + 1) * ((1 << n) - 1)
 
 
-def _solve(store: list, n_max: int, binomial, divisor) -> list[tuple[int, Fraction]]:
+def _solve(store: list, n_max: int, binomial, divisor) -> list[tuple[int, int]]:
     # entries 0..n_max; the store grows by x_k = sum_{h<k} binomial(k, h) x_h / divisor(k).
     # Scaled by divisor(1)..divisor(k-1), term h carries the divisors h+1..k-1, so
     # one upward Horner pass over the stored integers multiplies by divisor(h)
@@ -74,20 +77,18 @@ def _solve(store: list, n_max: int, binomial, divisor) -> list[tuple[int, Fracti
             acc = 0
             for h in range(k):
                 acc = acc * divisor(h) + binomial(k, h) * store[h][0]
-            # the last entry is numerator / (divisor(1)..divisor(k-1)), reduced
-            numerator, value = store[-1]
-            scale = numerator // value.numerator * value.denominator * divisor(k)
-            store.append((acc, Fraction(acc, scale)))
+            store.append((acc, store[-1][1] * divisor(k)))
         return store[: n_max + 1]
 
 
-# exact._weights asks for a prefix again when two levels share n//2 (eval 2 9
-# gets one cache hit); the cache stays because perfbench's tracer reads
+# the cache saves reducing a prefix again: exact._level_plan and
+# level_denominator_bound ask exact._weights for the same one, and so does a
+# second level with the same n//2 (eval 2 9); perfbench's tracer reads
 # cache_info().
 @lru_cache(maxsize=1)
 def series_coefficients(n_max: int) -> tuple[Fraction, ...]:
     """The rationals c_0..c_n_max; c_0 = 1, all strictly positive."""
-    return tuple(value for _, value in _solve(_C, n_max, _c_binomial, _c_divisor))
+    return tuple(Fraction(f, s) for f, s in _solve(_C, n_max, _c_binomial, _c_divisor))
 
 
 def series_integer_numerators(n_max: int) -> tuple[int, ...]:
@@ -101,7 +102,7 @@ def series_integer_numerators(n_max: int) -> tuple[int, ...]:
 @lru_cache(maxsize=1)
 def exp_moment_coefficients(n_max: int) -> tuple[Fraction, ...]:
     """The rationals d_0..d_n_max; d_0 = 1."""
-    return tuple(value for _, value in _solve(_D, n_max, _d_binomial, _d_divisor))
+    return tuple(Fraction(g, s) for g, s in _solve(_D, n_max, _d_binomial, _d_divisor))
 
 
 def exp_moment_integer_numerators(n_max: int) -> tuple[int, ...]:
@@ -116,7 +117,8 @@ def moment(n: int) -> Fraction:
     """Exact moment int_0^1 t^n phi(t) dt, equal to d_(n+1)/(n+1)."""
     if n < 0:
         raise ValueError("moment order must be >= 0")
-    return exp_moment_coefficients(n + 1)[n + 1] / (n + 1)
+    g, s = _solve(_D, n + 1, _d_binomial, _d_divisor)[n + 1]
+    return Fraction(g, s * (n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -131,8 +133,8 @@ def phi_near_one_from_series(m: int) -> Fraction:
     """Exact phi(1 - 2^-(2m+1)) via the closed form in c_m; independent of moment()."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    cm = series_coefficients(m)[m]
-    return cm / (2 * factorial(2 * m) * (1 << (m * (2 * m + 1))))
+    f, s = _solve(_C, m, _c_binomial, _c_divisor)[m]
+    return Fraction(f, s * 2 * factorial(2 * m) * (1 << (m * (2 * m + 1))))
 
 
 class CoefficientTable(NamedTuple):

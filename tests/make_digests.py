@@ -45,6 +45,10 @@ def _commands():
     for n in [*range(41), 128]:
         yield f"eval {(-1) ** n * ((1 << n) // 3 | 1)} {n}"
     yield "eval 5 2"
+    # even q: the point reduces to level 12, yet the scan or the bound is
+    # chosen by the level as given: 13 is past the default scan cap, 14 past 13
+    yield "eval 2 13"
+    yield "eval 4 14 --max-level 13"
     for k, q, n in [(1, 1, 1), (2, -5, 3), (3, -5, 7), (4, 11, 20), (1, 3, 1), (2, -9, 3)]:
         yield f"deriv {k} {q} {n}"
     for q, n, order in [(1, 1, 3), (-27, 5, 8), (3, 8, 12), (12345, 20, 4), (5, 2, 3), (0, 0, 2)]:

@@ -198,6 +198,62 @@ def test_criterion_10_reports_identity_errors(monkeypatch):
     )
 
 
+# each selftest tolerance against an error injected 10% inside it and 10% past
+# it: the criterion passes the first and fails the second, so a loosened or a
+# tightened bound fails here
+INSIDE_OR_PAST = pytest.mark.parametrize("scale", [0.9, 1.1], ids=["inside", "past"])
+LATTICE_AGREES = "n in {1,2,3} and a in {1/2,3/4,1} agree"
+
+
+@INSIDE_OR_PAST
+def test_criterion_7_tolerance(monkeypatch, scale):
+    # the synthesis is exact at t = 1/2 and at most 9.5e-12 off elsewhere
+    error = scale * 1e-10
+    phi_fourier = spectral.phi_fourier
+    monkeypatch.setattr(
+        spectral, "phi_fourier", lambda t, fc: phi_fourier(t, fc) + (error if t == 0.5 else 0.0)
+    )
+    result = selftest.criterion_7_spectral_agreement()
+    assert (result.passed, result.detail) == (
+        scale < 1, f"max err {error:.2e}, first 16 signs ok"
+    )
+
+
+@INSIDE_OR_PAST
+def test_criterion_10_unity_sum_tolerance(monkeypatch, scale):
+    # the unity sums are at most 9e-16 off
+    error = scale * 1e-9
+    translate_sum = spectral.translate_sum
+    monkeypatch.setattr(
+        spectral,
+        "translate_sum",
+        lambda t, u, fc: translate_sum(t, u, fc) + (error if u == 1 / 2 else 0.0),
+    )
+    result = selftest.criterion_10_lattice_identities()
+    problem = f"unity sum n=2: err {error:.2e}"
+    assert (result.passed, result.detail) == (
+        (True, LATTICE_AGREES) if scale < 1 else (False, problem)
+    )
+
+
+@INSIDE_OR_PAST
+def test_criterion_10_lattice_tolerance(monkeypatch, scale):
+    # both sides of the lattice identity at a = 1/2 are exactly 1.0
+    error = scale * 1e-8
+    poisson_check = spectral.poisson_check
+
+    def shifted(a):
+        lhs, rhs = poisson_check(a)
+        return (lhs, rhs + error) if a == 0.5 else (lhs, rhs)
+
+    monkeypatch.setattr(spectral, "poisson_check", shifted)
+    result = selftest.criterion_10_lattice_identities()
+    problem = f"lattice identity a=0.5: |1.0 - {1.0 + error}|"
+    assert (result.passed, result.detail) == (
+        (True, LATTICE_AGREES) if scale < 1 else (False, problem)
+    )
+
+
 @pytest.mark.parametrize(
     "check, budget, detail",
     [

@@ -186,8 +186,8 @@ class TestStepFunction:
 
     @pytest.mark.parametrize(
         "eighths",
-        [(2, 8, 2, 4), (4, 2, 8, 4), (2, 4, 2)],
-        ids=["dip-after-peak", "rise-after-fall", "peak-not-one"],
+        [(2, 8, 2, 4), (4, 2, 8, 4), (2, 4, 2), (2, 16, 2)],
+        ids=["dip-after-peak", "rise-after-fall", "peak-not-one", "peak-above-one"],
     )
     def test_not_unimodal(self, eighths):
         # level 3 counts its plateaus in eighths: exp = C(3, 2) = 3

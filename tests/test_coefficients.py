@@ -34,8 +34,8 @@ _spec.loader.exec_module(TRACER)
 @pytest.fixture
 def empty_store(monkeypatch):
     """Both coefficient stores cut back to their first term for one test."""
-    monkeypatch.setattr(coefficients, "_C", [(1, Fraction(1))])
-    monkeypatch.setattr(coefficients, "_D", [(1, Fraction(1))])
+    monkeypatch.setattr(coefficients, "_C", [(1, 1)])
+    monkeypatch.setattr(coefficients, "_D", [(1, 1)])
     series_coefficients.cache_clear()
     exp_moment_coefficients.cache_clear()
     yield
@@ -187,7 +187,8 @@ class TestPhiNearOne:
         assert phi_near_one(n) == expected
 
     def test_odd_levels_match_series_route(self):
-        for m in range(8):
+        # m = 149 is n = 299, next to the coeffs cap; both routes read the stores
+        for m in [*range(8), 100, 149]:
             assert phi_near_one(2 * m + 1) == phi_near_one_from_series(m)
 
     def test_domain(self):
@@ -219,6 +220,22 @@ class TestStore:
         assert [tuple(map(len, results[n])) for n in sizes] == [(n + 1, n + 1) for n in sizes]
         assert_c_recurrence(assert_prefixes([c for c, _ in results.values()]))
         assert_d_recurrence(assert_prefixes([d for _, d in results.values()]))
+
+    def test_integers_read_without_values(self, empty_store, monkeypatch):
+        # the stores hold integers only: F and G are read as summed, and no
+        # value is built until one is asked for
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(coefficients, "Fraction", counting)
+        assert series_integer_numerators(60)[:5] == (1, 1, 19, 2915, 2788989)
+        assert exp_moment_integer_numerators(60)[:4] == (1, 1, 5, 84)
+        assert built == []
+        series_coefficients(60)
+        assert len(built) == 61
 
     # the benchmark's tracer reads cache_info() of these for its cache metrics
     @pytest.mark.parametrize("name", TRACER.CACHED)
