@@ -202,7 +202,6 @@ def test_criterion_10_reports_identity_errors(monkeypatch):
 # it: the criterion passes the first and fails the second, so a loosened or a
 # tightened bound fails here
 INSIDE_OR_PAST = pytest.mark.parametrize("scale", [0.9, 1.1], ids=["inside", "past"])
-LATTICE_AGREES = "n in {1,2,3} and a in {1/2,3/4,1} agree"
 
 
 @INSIDE_OR_PAST
@@ -220,37 +219,30 @@ def test_criterion_7_tolerance(monkeypatch, scale):
 
 
 @INSIDE_OR_PAST
-def test_criterion_10_unity_sum_tolerance(monkeypatch, scale):
-    # the unity sums are at most 9e-16 off
-    error = scale * 1e-9
+def test_criterion_10_tolerance(monkeypatch, scale):
+    # the unity sums are at most 9e-16 off; both sides of the lattice identity
+    # at a = 1/2 are exactly 1.0
+    unity_error, lattice_error = scale * 1e-9, scale * 1e-8
     translate_sum = spectral.translate_sum
-    monkeypatch.setattr(
-        spectral,
-        "translate_sum",
-        lambda t, u, fc: translate_sum(t, u, fc) + (error if u == 1 / 2 else 0.0),
-    )
-    result = selftest.criterion_10_lattice_identities()
-    problem = f"unity sum n=2: err {error:.2e}"
-    assert (result.passed, result.detail) == (
-        (True, LATTICE_AGREES) if scale < 1 else (False, problem)
-    )
-
-
-@INSIDE_OR_PAST
-def test_criterion_10_lattice_tolerance(monkeypatch, scale):
-    # both sides of the lattice identity at a = 1/2 are exactly 1.0
-    error = scale * 1e-8
     poisson_check = spectral.poisson_check
 
     def shifted(a):
         lhs, rhs = poisson_check(a)
-        return (lhs, rhs + error) if a == 0.5 else (lhs, rhs)
+        return (lhs, rhs + lattice_error) if a == 0.5 else (lhs, rhs)
 
+    monkeypatch.setattr(
+        spectral,
+        "translate_sum",
+        lambda t, u, fc: translate_sum(t, u, fc) + (unity_error if u == 1 / 2 else 0.0),
+    )
     monkeypatch.setattr(spectral, "poisson_check", shifted)
     result = selftest.criterion_10_lattice_identities()
-    problem = f"lattice identity a=0.5: |1.0 - {1.0 + error}|"
+    problems = (
+        f"unity sum n=2: err {unity_error:.2e}; "
+        f"lattice identity a=0.5: |1.0 - {1.0 + lattice_error}|"
+    )
     assert (result.passed, result.detail) == (
-        (True, LATTICE_AGREES) if scale < 1 else (False, problem)
+        (True, "n in {1,2,3} and a in {1/2,3/4,1} agree") if scale < 1 else (False, problems)
     )
 
 
