@@ -92,8 +92,10 @@ def phi_exact_raw(q: int, n: int) -> Fraction:
     return Fraction(total, d)
 
 
-# selftest criterion 4 (level 10) and the session workload (13..16) revisit
-# levels; a level grid and a Taylor vector build one plan each
+# selftest criterion 4 builds 11 plans, levels 0..10, since q/2^10 reduces to
+# level 10 - val2(q), and revisits them; all ten criteria build those same 11,
+# so the cache holds at least 11.  The session workload revisits 13..16; a
+# level grid and a Taylor vector build one plan each
 @lru_cache(maxsize=12)
 def _level_plan(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Common denominator d of level n and one integer polynomial per block size.

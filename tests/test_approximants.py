@@ -235,10 +235,3 @@ class TestStepFunction:
                 for q in range(-32, 33)
             )
             assert dev == expected
-
-    def test_envelope_non_increasing(self):
-        devs = [MEASURED_ENVELOPE[m] for m in range(3, 9)]
-        assert all(devs[i] <= devs[i - 1] for i in range(1, len(devs)))
-
-    def test_final_deviation_below_two_percent(self):
-        assert MEASURED_ENVELOPE[8] < Fraction(1, 50)

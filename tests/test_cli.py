@@ -34,7 +34,7 @@ from fabius.stochastic import MAX_DEPTH
 from test_approximants import plateau_interval
 from test_coefficients import assert_d_recurrence
 from test_core import parse_dyadic
-from test_imports import _child_env
+from test_imports import _child_env, child
 from test_rejections import WORK, _entered
 
 DATA = Path(__file__).parent / "data"
@@ -362,32 +362,19 @@ class TestIntegrityViolation:
 
 
 class TestConsoleScript:
-    def test_module_and_script_entry_points(self):
-        # the child imports the same checkout as this process, installed or not
-        env = _child_env()
-        proc = subprocess.run(
-            [sys.executable, "-m", "fabius.cli", "eval", "31", "5"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout.splitlines()[0] == "19/33177600"
-        proc = subprocess.run(
-            [sys.executable, "-m", "fabius.cli", "table", "99"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 1
+    @pytest.mark.parametrize(
+        "argv,code,stdout,stderr",
+        [
+            (["eval", "31", "5"], 0, b"19/33177600\n19/33177600\n", b""),
+            (["table", "99"], 1, b"", b"fabius: error: table level must be in 0..12\n"),
+            (["table", "5"], 0, (DATA / "table_n5_golden.txt").read_bytes(), b""),
+        ],
+        ids=["eval 31 5", "table 99", "table 5"],
+    )
+    def test_module_entry_point(self, argv, code, stdout, stderr):
         # the module path runs entry(), as the console script does
-        proc = subprocess.run(
-            [sys.executable, "-m", "fabius.cli", "table", "5"],
-            capture_output=True,
-            env=env,
-        )
-        assert (proc.returncode, proc.stderr) == (0, b"")
-        assert proc.stdout == (DATA / "table_n5_golden.txt").read_bytes()
+        proc = child("-m", "fabius.cli", *argv)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (code, stderr, stdout)
 
     def test_entry_freezes_and_exits_with_the_status(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["fabius", "table", "99"])

@@ -1,9 +1,6 @@
 """Exact dyadic evaluation: phi, theta, derivatives, Taylor data."""
 
-import os
 import random
-import subprocess
-import sys
 import textwrap
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +10,6 @@ from unittest import mock
 
 import pytest
 
-import fabius
 from fabius.cli import level_denominator, render_table
 from fabius.coefficients import phi_near_one
 from fabius.core import Dyadic, thue_morse_sign
@@ -28,7 +24,12 @@ from fabius.exact import (
     phi_exact_raw,
     taylor_at,
 )
-from fabius.selftest import GOLDEN_LEVEL5_DENOMINATOR, GOLDEN_LEVEL5_SCALED
+from fabius.selftest import (
+    GOLDEN_LEVEL5_DENOMINATOR,
+    GOLDEN_LEVEL5_SCALED,
+    criterion_4_reflection_evenness,
+)
+from test_imports import child
 
 TAYLOR_LEVEL5_GOLDEN = Path(__file__).parent / "data" / "taylor_level5_golden.txt"
 
@@ -342,6 +343,13 @@ class TestLevelValues:
         level_numerators(10)
         assert _level_plan.cache_info().currsize == 1
 
+    def test_criterion_4_fits_the_plan_cache(self):
+        # q/2^10 reduces to level 10 - val2(q): 11 plans, each built once,
+        # which needs room for 11
+        _level_plan.cache_clear()
+        assert criterion_4_reflection_evenness().passed
+        assert _level_plan.cache_info().misses == 11
+
     def test_level_sweep_keeps_no_per_point_state(self):
         # a fresh interpreter, so no earlier sweep has filled a cache already;
         # the level plans are built first, since they are the state that stays
@@ -360,15 +368,8 @@ class TestLevelValues:
             print(tracemalloc.get_traced_memory()[0] - before)
             """
         )
-        src = os.path.dirname(os.path.dirname(fabius.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            check=True,
-        )
+        proc = child("-c", script)
+        assert proc.returncode == 0, proc.stderr.decode()
         # a memo of the 513 canonical points of level 10 keeps about 110 kB
         assert int(proc.stdout) < 16 << 10
 

@@ -1,16 +1,16 @@
 """Each command loads only the layers it runs.
 
-numpy loads only when a Monte Carlo block is drawn; ``import fabius`` and
-``import fabius.cli`` load no layer and not ``fractions``, and the package
-resolves each name on first use; the exact core loads only with a command
-that runs it; the exact commands leave ``spectral``, ``stochastic``,
-``approximants`` and ``json`` unloaded; and no command but ``selftest``
-loads ``dataclasses``.  No module of the package imports another module's
-underscore name.
+numpy loads only when a Monte Carlo block is drawn; ``import fabius`` loads
+no module of the package, and ``import fabius.cli`` no layer and not
+``fractions``; the package resolves each name on first use; the exact core
+loads only with a command that runs it; the exact commands leave
+``spectral``, ``stochastic``, ``approximants`` and ``json`` unloaded; and no
+command but ``selftest`` loads ``dataclasses``.  No module of the package
+imports another module's underscore name.
 
-Each check runs in a fresh interpreter, because this test process has
-already imported everything.  The child imports the same checkout as this
-process, installed or not.
+Each load check runs ``PROBE`` in a fresh interpreter, because this test
+process has already imported everything.  Every test that starts an
+interpreter does so through ``child``.
 """
 
 import ast
@@ -30,10 +30,8 @@ from fabius.exact import taylor_at
 from fabius.selftest import CriterionResult
 from fabius.stochastic import McEstimate
 
-# the exact core and the one standard module that loads with it
-CORE = ["fractions", "fabius.core", "fabius.coefficients", "fabius.exact"]
-LAYERS = ["fabius.spectral", "fabius.stochastic", "fabius.approximants"]
-WATCHED = ["numpy", "json", "dataclasses", *CORE, *LAYERS]
+# the exact core and the one standard module that loads with it, sorted
+CORE = ["fabius.coefficients", "fabius.core", "fabius.exact", "fractions"]
 
 # (argv, exit code); the mc depths and sample count are rejected before any
 # block is drawn
@@ -55,28 +53,54 @@ EXACT_COMMANDS = [
 # the commands that run on the exact core alone
 CORE_COMMANDS = EXACT_COMMANDS[:5]
 
-# Runs each argv of the list literal in argv[2] through main() and prints one
-# record per step: [label, exit code, the modules of the list literal in
-# argv[1] that are loaded].  It reads and writes Python literals, not JSON,
-# so that json is loaded only if fabius loads it.
-CHILD = textwrap.dedent(
+# Runs the steps of the list literal in argv[1], in order, and prints one
+# record per step: [step, result, the modules of the package and of WATCHED
+# that are loaded, sorted].  A step is one of
+#   ("import", module)  result None;
+#   ("name", name)      looked up on the package: for a layer's own name,
+#                       whether that layer's module came back, else whether
+#                       the lookup succeeded;
+#   ("main", argv)      fabius.cli.main(argv), output discarded: exit code;
+#   ("module", argv)    run as ``python -m fabius.cli`` runs it, through runpy
+#                       and ``entry``, output discarded: exit code.  It comes
+#                       last, and its record is written by an exit handler
+#                       registered before the run, so a load at exit shows.
+# It reads and writes Python literals, not JSON, so that json is loaded only
+# if fabius loads it.
+PROBE = textwrap.dedent(
     """
-    import contextlib, io, sys
+    import atexit, contextlib, importlib, io, runpy, sys
 
-    watched = eval(sys.argv[1])
+    WATCHED = ("dataclasses", "fractions", "json", "numpy")
 
-    def report(label, code):
-        loaded = [name for name in watched if name in sys.modules]
-        print(repr([label, code, loaded]), flush=True)
+    def report(step, result):
+        loaded = sorted(m for m in sys.modules if m in WATCHED or m.startswith("fabius."))
+        print(repr([step, result, loaded]), flush=True)
 
-    import fabius
-    import fabius.cli
-    report("import", 0)
-    for argv in eval(sys.argv[2]):
+    def run(kind, arg):
+        if kind == "import":
+            importlib.import_module(arg)
+        elif kind == "name":
+            value = getattr(importlib.import_module("fabius"), arg, None)
+            layer = sys.modules.get("fabius." + arg)
+            return value is not None if layer is None else value is layer
+        elif kind == "main":
+            return importlib.import_module("fabius.cli").main(arg)
+        else:
+            sys.argv = ["fabius", *arg]
+            try:
+                runpy.run_module("fabius.cli", run_name="__main__")
+            except SystemExit as exc:
+                return exc.code
+
+    for step in eval(sys.argv[1]):
+        if step[0] == "module":
+            atexit.register(lambda: report(step, result))
         with contextlib.redirect_stdout(io.StringIO()), \\
                 contextlib.redirect_stderr(io.StringIO()):
-            code = fabius.cli.main(argv)
-        report(" ".join(argv), code)
+            result = run(*step)
+        if step[0] != "module":
+            report(step, result)
     """
 )
 
@@ -87,43 +111,61 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def _run(commands, child=CHILD):
-    proc = subprocess.run(
-        [sys.executable, "-c", child, repr(WATCHED), repr(commands)],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-        timeout=120,
+def child(*args):
+    """Run a fresh interpreter on ``args`` and return the finished process.
+
+    The child imports the same checkout as this process, installed or not;
+    its stdout and stderr are bytes.
+    """
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env=_child_env(), timeout=120
     )
-    assert proc.returncode == 0, proc.stderr
-    return [tuple(ast.literal_eval(line)) for line in proc.stdout.splitlines()]
+
+
+def probe(*steps):
+    proc = child("-c", PROBE, repr(steps))
+    assert proc.returncode == 0, proc.stderr.decode()
+    return [tuple(ast.literal_eval(line)) for line in proc.stdout.decode().splitlines()]
+
+
+# the first step of each main() probe, and its record
+IMPORT_CLI = ("import", "fabius.cli")
+CLI_ONLY = (IMPORT_CLI, None, ["fabius.cli"])
+
+
+def _main(argvs):
+    return probe(IMPORT_CLI, *(("main", argv) for argv in argvs))
+
+
+def _with_cli(modules):
+    return sorted(["fabius.cli", *modules])
 
 
 def _loaded(records, name):
-    return [(label, code, name in loaded) for label, code, loaded in records]
+    return [(step, code, name in loaded) for step, code, loaded in records]
 
 
 def test_exact_commands_never_load_numpy():
-    records = _run([argv for argv, _ in EXACT_COMMANDS])
-    assert _loaded(records, "numpy") == [("import", 0, False)] + [
-        (" ".join(argv), code, False) for argv, code in EXACT_COMMANDS
+    records = _main(argv for argv, _ in EXACT_COMMANDS)
+    assert _loaded(records, "numpy") == [(IMPORT_CLI, None, False)] + [
+        (("main", argv), code, False) for argv, code in EXACT_COMMANDS
     ]
 
 
 def test_monte_carlo_draw_loads_numpy():
     # control: the check above would pass vacuously if numpy never loaded
-    records = _run([["mc", "-0.5", "--samples", "1000"]])
-    assert _loaded(records, "numpy") == [
-        ("import", 0, False),
-        ("mc -0.5 --samples 1000", 0, True),
+    argv = ["mc", "-0.5", "--samples", "1000"]
+    assert _loaded(_main([argv]), "numpy") == [
+        (IMPORT_CLI, None, False),
+        (("main", argv), 0, True),
     ]
 
 
 def test_core_commands_load_only_the_exact_core():
     # eval, the first, loads all of the core; the others load nothing more
-    records = _run([argv for argv, _ in CORE_COMMANDS])
-    assert records == [("import", 0, [])] + [
-        (" ".join(argv), code, CORE) for argv, code in CORE_COMMANDS
+    records = _main(argv for argv, _ in CORE_COMMANDS)
+    assert records == [CLI_ONLY] + [
+        (("main", argv), code, _with_cli(CORE)) for argv, code in CORE_COMMANDS
     ]
 
 
@@ -137,9 +179,9 @@ def test_commands_off_the_exact_core_never_load_it():
         ["fourier-coeffs", "4"],
         ["eval-float", "0.3"],
     ]
-    records = _run(commands)
-    assert [(label, code) for label, code, _ in records] == [("import", 0)] + [
-        (" ".join(argv), code) for argv, code in zip(commands, [1, 1, 0, 0, 0])
+    records = _main(commands)
+    assert [(step, code) for step, code, _ in records] == [(IMPORT_CLI, None)] + [
+        (("main", argv), code) for argv, code in zip(commands, [1, 1, 0, 0, 0])
     ]
     assert [set(loaded) & set(CORE) for _, _, loaded in records] == [set()] * 6
 
@@ -156,7 +198,7 @@ def test_commands_off_the_exact_core_never_load_it():
 )
 def test_each_layer_loads_with_its_command(argv, loads):
     # control: the check above would pass vacuously if no layer ever loaded
-    assert _run([argv]) == [("import", 0, []), (" ".join(argv), 0, loads)]
+    assert _main([argv]) == [CLI_ONLY, (("main", argv), 0, _with_cli(loads))]
 
 
 def test_no_command_but_selftest_loads_dataclasses():
@@ -164,37 +206,9 @@ def test_no_command_but_selftest_loads_dataclasses():
         ["mc", "-0.5", "--samples", "70000", "--depth", "53"],
         *(["--json", *argv] for argv, _ in EXACT_COMMANDS),
     ]
-    records = _run(commands)
+    records = _main(commands)
     assert len(records) == 1 + len(commands)
     assert not any(loaded for _, _, loaded in _loaded(records, "dataclasses"))
-
-
-# Runs the argv of the list literal in argv[2] as ``python -m fabius.cli``
-# does, through runpy and ``entry``, and prints one record when the
-# interpreter exits: [label, exit code, the modules of the list literal in
-# argv[1] that are loaded].
-MODULE_CHILD = textwrap.dedent(
-    """
-    import atexit, contextlib, io, runpy, sys
-
-    watched = eval(sys.argv[1])
-    argv = eval(sys.argv[2])
-    code = None
-
-    def report():
-        loaded = [name for name in watched if name in sys.modules]
-        print(repr([" ".join(argv), code, loaded]), flush=True)
-
-    atexit.register(report)
-    sys.argv = ["fabius", *argv]
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), \\
-                contextlib.redirect_stderr(io.StringIO()):
-            runpy.run_module("fabius.cli", run_name="__main__")
-    except SystemExit as exc:
-        code = exc.code
-    """
-)
 
 
 @pytest.mark.parametrize(
@@ -208,48 +222,7 @@ MODULE_CHILD = textwrap.dedent(
 )
 def test_the_module_entry_loads_what_main_loads(argv, code, loads):
     # no probe of the package at start-up or exit loads a layer
-    assert _run(argv, MODULE_CHILD) == [(" ".join(argv), code, loads)]
-
-
-# Looks up the layer core and then every public name of a freshly imported
-# package, and prints one record: [the fabius and watched modules loaded by
-# the import, those loaded once fabius.core is looked up, whether that
-# lookup handed out the layer, {name: [layers whose __all__ lists it and
-# whose object the package hands out]}].
-RESOLVE = textwrap.dedent(
-    """
-    import importlib, sys
-
-    watched = eval(sys.argv[1])
-
-    def loaded():
-        return sorted(m for m in sys.modules if m.startswith("fabius.") or m in watched)
-
-    import fabius
-    on_import = loaded()
-    core = fabius.core
-    with_core = loaded()
-    homes = {}
-    for name in fabius.__all__:
-        value = getattr(fabius, name)
-        for layer in ("core", "coefficients", "exact", "approximants",
-                      "spectral", "stochastic"):
-            module = importlib.import_module("fabius." + layer)
-            if name in module.__all__ and getattr(module, name) is value:
-                homes.setdefault(name, []).append(layer)
-    print(repr([on_import, with_core, core is sys.modules["fabius.core"], homes]))
-    """
-)
-
-
-def test_package_loads_no_layer_and_resolves_every_name_on_first_use():
-    [(on_import, with_core, is_layer, homes)] = _run([], RESOLVE)
-    assert on_import == []
-    # a layer's own name loads that layer alone
-    assert (with_core, is_layer) == (["fabius.core", "fractions"], True)
-    # exactly one layer lists each name, and the package hands out its object
-    assert sorted(homes) == sorted(fabius.__all__)
-    assert all(len(layers) == 1 for layers in homes.values())
+    assert probe(("module", argv)) == [(("module", argv), code, sorted(loads))]
 
 
 def test_no_module_imports_a_private_name():
@@ -264,6 +237,21 @@ def test_no_module_imports_a_private_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_only_child_starts_an_interpreter():
+    # a test that needs a fresh interpreter goes through child(); the
+    # closed-pipe test keeps its own Popen, since it reads the pipe
+    users = []
+    for path in sorted(Path(__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "executable":
+                owners = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                owner = max(owners, key=lambda f: f.lineno).name if owners else "<module>"
+                users.append(f"{path.name}:{owner}")
+    assert users == ["test_cli.py:test_closed_pipe_exits_quietly", "test_imports.py:child"]
 
 
 def test_star_import_and_unknown_names():

@@ -1,10 +1,9 @@
 """The package namespace is the union of the layers' ``__all__``."""
 
 import importlib
-import textwrap
 
 import fabius
-from test_imports import CORE, _run
+from test_imports import CORE, probe
 
 LAYERS = ("core", "coefficients", "exact", "approximants", "spectral", "stochastic")
 
@@ -30,31 +29,18 @@ def test_every_name_resolves_to_its_layer_object():
             assert getattr(fabius, name) is getattr(module, name), name
 
 
-# Looks up each name of the list literal in argv[2] on a freshly imported
-# package, in order, and prints one record per name: [name, whether the
-# lookup succeeded, the modules of the list literal in argv[1] loaded so far].
-LOOKUP = textwrap.dedent(
-    """
-    import sys
-
-    watched = eval(sys.argv[1])
-
-    import fabius
-    for name in eval(sys.argv[2]):
-        found = hasattr(fabius, name)
-        loaded = [module for module in watched if module in sys.modules]
-        print(repr([name, found, sorted(loaded)]), flush=True)
-    """
-)
-
-
 def test_a_name_loads_the_layers_up_to_its_own():
     every_layer = [f"fabius.{layer}" for layer in LAYERS]
-    assert _run(["__wrapped__", "Dyadic", "phi_exact", "mc_phi"], LOOKUP) == [
+    names = ["__wrapped__", "core", "Dyadic", "phi_exact", "mc_phi"]
+    assert probe(("import", "fabius"), *(("name", name) for name in names)) == [
+        # the import loads no module of the package
+        (("import", "fabius"), None, []),
         # a dunder probe loads nothing
-        ("__wrapped__", False, []),
-        ("Dyadic", True, ["fabius.core", "fractions"]),
-        ("phi_exact", True, sorted(CORE)),
+        (("name", "__wrapped__"), False, []),
+        # a layer's own name loads that layer alone and hands out its module
+        (("name", "core"), True, ["fabius.core", "fractions"]),
+        (("name", "Dyadic"), True, ["fabius.core", "fractions"]),
+        (("name", "phi_exact"), True, CORE),
         # every layer, though none of them imports numpy
-        ("mc_phi", True, sorted(["fractions", *every_layer])),
+        (("name", "mc_phi"), True, sorted(["fractions", *every_layer])),
     ]
