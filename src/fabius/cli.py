@@ -61,7 +61,7 @@ MAX_GRID_LEVEL = 14
 # so each further level doubles the output, and scripts and tests rely on
 # table 13 being a usage error.
 DEFAULT_MAX_LEVEL = 12
-# coeffs G 300 took 0.43-0.49 s and coeffs c 300 2.51-3.01 s on a 2-vCPU VM,
+# coeffs G 300 took 0.40-0.52 s and coeffs c 300 2.52-2.91 s on a 2-vCPU VM,
 # about half of the latter in turning the values into decimal strings.
 MAX_COEFFS = 300
 # Synthesis length K: time grows linearly in K, so fourier-coeffs 10^5 took

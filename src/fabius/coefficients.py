@@ -1,15 +1,16 @@
 """Exact coefficient sequences attached to the bump function phi.
 
-Two recurrences drive everything:
+One recurrence at two strides drives everything,
+(sk+1)(2^(sk) - 1) x_k = sum_{h<k} C(sk+1, sh) x_h with x_0 = 1:
 
-* the even power-series coefficients c_k of the transform of phi, defined by
-  (2k+1) 2^(2k) c_k = sum_{h<=k} C(2k+1, 2h) c_h, solved for c_k by moving
-  the h = k term across: c_k = sum_{h<k} C(2k+1, 2h) c_h / ((2k+1)(2^(2k)-1));
-* the exponential-moment coefficients d_n of f(x) = 1 + x * int_0^1 e^(xt) phi(t) dt,
-  with (n+1)(2^n - 1) d_n = sum_{k<n} C(n+1, k) d_k.
+* at s = 2, the even power-series coefficients c_k of the transform of phi,
+  defined by (2k+1) 2^(2k) c_k = sum_{h<=k} C(2k+1, 2h) c_h with the h = k
+  term moved across;
+* at s = 1, the exponential-moment coefficients d_n of
+  f(x) = 1 + x * int_0^1 e^(xt) phi(t) dt.
 
 Both sequences admit integer normalizations: F_k and G_n scale c_k and d_n by
-the product of their divisors up to index k or n.
+the product of the divisors divisor(j) = (sj+1)(2^(sj) - 1) up to index k or n.
 The ordinary moments int_0^1 t^n phi(t) dt and the values phi(1 - 2^-n) follow
 exactly from d and c, by two independent routes that the test suite compares.
 Each sequence is one extend-only store shared by all callers, and it holds
@@ -42,42 +43,29 @@ __all__ = [
 ]
 
 
-# c and d as solved so far, as (x_k * S_k, S_k); both only grow, under the one lock
-_C: list[tuple[int, int]] = [(1, 1)]
-_D: list[tuple[int, int]] = [(1, 1)]
+# c and d as solved so far, as (x_k * S_k, S_k), keyed by stride; both only
+# grow, under the one lock
+_STORES: dict[int, list[tuple[int, int]]] = {2: [(1, 1)], 1: [(1, 1)]}
 _STORE_LOCK = threading.Lock()
 
 
-# the binomial of term h and the divisor of c_k and d_n in the recurrences above
-def _c_binomial(k: int, h: int) -> int:
-    return comb(2 * k + 1, 2 * h)
-
-
-def _c_divisor(k: int) -> int:
-    return (2 * k + 1) * ((1 << (2 * k)) - 1)
-
-
-def _d_binomial(n: int, k: int) -> int:
-    return comb(n + 1, k)
-
-
-def _d_divisor(n: int) -> int:
-    return (n + 1) * ((1 << n) - 1)
-
-
-def _solve(store: list, n_max: int, binomial, divisor) -> list[tuple[int, int]]:
-    # entries 0..n_max; the store grows by x_k = sum_{h<k} binomial(k, h) x_h / divisor(k).
+def _solve(s: int, n_max: int) -> list[tuple[int, int]]:
+    # entries 0..n_max of the stride-s store (s = 2 for c, 1 for d), grown by
+    # x_k = sum_{h<k} C(sk+1, sh) x_h / divisor(k).
     # Scaled by divisor(1)..divisor(k-1), term h carries the divisors h+1..k-1, so
-    # one upward Horner pass over the stored integers multiplies by divisor(h)
-    # before adding term h; divisor(0) = 0 only multiplies the empty sum.
+    # one upward Horner pass over the stored integers multiplies by divisor(h),
+    # its factor 2^(sh) - 1 as a shift and a subtraction, before adding term h;
+    # divisor(0) = 0 only multiplies the empty sum.
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    store = _STORES[s]
     with _STORE_LOCK:
         for k in range(len(store), n_max + 1):
             acc = 0
             for h in range(k):
-                acc = acc * divisor(h) + binomial(k, h) * store[h][0]
-            store.append((acc, store[-1][1] * divisor(k)))
+                t = acc * (s * h + 1)
+                acc = (t << s * h) - t + comb(s * k + 1, s * h) * store[h][0]
+            store.append((acc, store[-1][1] * (s * k + 1) * ((1 << s * k) - 1)))
         return store[: n_max + 1]
 
 
@@ -88,7 +76,7 @@ def _solve(store: list, n_max: int, binomial, divisor) -> list[tuple[int, int]]:
 @lru_cache(maxsize=1)
 def series_coefficients(n_max: int) -> tuple[Fraction, ...]:
     """The rationals c_0..c_n_max; c_0 = 1, all strictly positive."""
-    return tuple(Fraction(f, s) for f, s in _solve(_C, n_max, _c_binomial, _c_divisor))
+    return tuple(Fraction(f, s) for f, s in _solve(2, n_max))
 
 
 def series_integer_numerators(n_max: int) -> tuple[int, ...]:
@@ -96,13 +84,13 @@ def series_integer_numerators(n_max: int) -> tuple[int, ...]:
 
     They are the integers the c store is summed in, read from it as they are.
     """
-    return tuple(f for f, _ in _solve(_C, n_max, _c_binomial, _c_divisor))
+    return tuple(f for f, _ in _solve(2, n_max))
 
 
 @lru_cache(maxsize=1)
 def exp_moment_coefficients(n_max: int) -> tuple[Fraction, ...]:
     """The rationals d_0..d_n_max; d_0 = 1."""
-    return tuple(Fraction(g, s) for g, s in _solve(_D, n_max, _d_binomial, _d_divisor))
+    return tuple(Fraction(g, s) for g, s in _solve(1, n_max))
 
 
 def exp_moment_integer_numerators(n_max: int) -> tuple[int, ...]:
@@ -110,14 +98,14 @@ def exp_moment_integer_numerators(n_max: int) -> tuple[int, ...]:
 
     They are the integers the d store is summed in, read from it as they are.
     """
-    return tuple(g for g, _ in _solve(_D, n_max, _d_binomial, _d_divisor))
+    return tuple(g for g, _ in _solve(1, n_max))
 
 
 def moment(n: int) -> Fraction:
     """Exact moment int_0^1 t^n phi(t) dt, equal to d_(n+1)/(n+1)."""
     if n < 0:
         raise ValueError("moment order must be >= 0")
-    g, s = _solve(_D, n + 1, _d_binomial, _d_divisor)[n + 1]
+    g, s = _solve(1, n + 1)[n + 1]
     return Fraction(g, s * (n + 1))
 
 
@@ -133,7 +121,7 @@ def phi_near_one_from_series(m: int) -> Fraction:
     """Exact phi(1 - 2^-(2m+1)) via the closed form in c_m; independent of moment()."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    f, s = _solve(_C, m, _c_binomial, _c_divisor)[m]
+    f, s = _solve(2, m)[m]
     return Fraction(f, s * 2 * factorial(2 * m) * (1 << (m * (2 * m + 1))))
 
 

@@ -34,8 +34,8 @@ _spec.loader.exec_module(TRACER)
 @pytest.fixture
 def empty_store(monkeypatch):
     """Both coefficient stores cut back to their first term for one test."""
-    monkeypatch.setattr(coefficients, "_C", [(1, 1)])
-    monkeypatch.setattr(coefficients, "_D", [(1, 1)])
+    monkeypatch.setitem(coefficients._STORES, 2, [(1, 1)])
+    monkeypatch.setitem(coefficients._STORES, 1, [(1, 1)])
     series_coefficients.cache_clear()
     exp_moment_coefficients.cache_clear()
     yield
@@ -93,9 +93,6 @@ class TestSeriesCoefficients:
     def test_all_positive(self):
         assert all(ck > 0 for ck in series_coefficients(N))
 
-    def test_integer_numerators(self):
-        assert series_integer_numerators(4) == (1, 1, 19, 2915, 2788989)
-
     def test_integer_numerators_literal_normaliser(self):
         # the store's integers against its values times
         # F_k / c_k = (2k+1)!! * prod_{1<=j<=k} (4^j - 1), written out
@@ -129,9 +126,6 @@ class TestExpMomentCoefficients:
                 d[k] / (factorial(k) * factorial(n - k + 1)) for k in range(n + 1)
             )
             assert lhs == rhs
-
-    def test_integer_numerators(self):
-        assert exp_moment_integer_numerators(3) == (1, 1, 5, 84)
 
     def test_integer_numerators_literal_normaliser(self):
         # the store's integers against its values times
@@ -191,12 +185,27 @@ class TestPhiNearOne:
         for m in [*range(8), 100, 149]:
             assert phi_near_one(2 * m + 1) == phi_near_one_from_series(m)
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            phi_near_one(0)
-
 
 class TestStore:
+    def test_stores_at_the_coeffs_cap(self):
+        # entry 300 of each store against the paper's forms in integers,
+        # (2k+1) 4^k F_k = sum_{h<=k} C(2k+1, 2h) F_h S_k/S_h and
+        # (n+1) 2^n G_n = sum_{h<=n} C(n+1, h) G_h S_n/S_h, with S_k/S_h the
+        # product of the divisors h+1..k, multiplied in from k downwards
+        k = 300
+        F = series_integer_numerators(k)
+        rhs, suffix = 0, 1
+        for h in range(k, -1, -1):
+            rhs += comb(2 * k + 1, 2 * h) * F[h] * suffix
+            suffix *= (2 * h + 1) * ((1 << (2 * h)) - 1)
+        assert (2 * k + 1) * (1 << (2 * k)) * F[k] == rhs
+        G = exp_moment_integer_numerators(k)
+        rhs, suffix = 0, 1
+        for h in range(k, -1, -1):
+            rhs += comb(k + 1, h) * G[h] * suffix
+            suffix *= (h + 1) * ((1 << h) - 1)
+        assert (k + 1) * (1 << k) * G[k] == rhs
+
     def test_concurrent_growth(self, empty_store):
         sizes = (12, 45, 30, 20)
         start = threading.Barrier(len(sizes), timeout=30)

@@ -1,5 +1,6 @@
 """Public entry points reject out-of-domain input: each library callable
-with ValueError, each CLI argv with exit 1 before any work."""
+with a ValueError and its exact message, each CLI argv with exit 1 before
+any work.  Every `raise ValueError` of the layers and of the CLI has a row."""
 
 import ast
 import re
@@ -10,40 +11,57 @@ import pytest
 
 import fabius
 from fabius import cli
+from fabius.core import Dyadic
 
 T = Fraction(1, 8)
 INF = float("inf")
 
+N_MAX = "n_max must be >= 0"
+LEVEL = "level n must be >= 0"
+NOT_A_RATIO = "cannot convert Infinity to integer ratio"
+M_MAX = "m_max must be >= 1"
+SAMPLES = "samples must be in 1..100000000"
+DEPTH = "depth must be in 8..64"
+
+# name, arguments, and the exact message of the ValueError
 REJECTED = [
-    ("Dyadic", (1, -1)),
-    ("canonical_dyadic", (1, -1)),
-    ("val2", (0,)),
-    ("partition_polynomial", (-1,)),
-    ("restricted_partitions", (-1,)),
-    ("step_function", (-1,)),
-    ("series_coefficients", (-1,)),
-    ("series_integer_numerators", (-1,)),
-    ("exp_moment_coefficients", (-1,)),
-    ("exp_moment_integer_numerators", (-1,)),
-    ("moment", (-1,)),
-    ("phi_near_one", (0,)),
-    ("phi_near_one_from_series", (-1,)),
-    ("phi_exact", (Fraction(1, 3),)),
-    ("phi_exact", (INF,)),
-    ("phi_exact_raw", (1, -1)),
-    ("level_numerators", (-1,)),
-    ("level_denominator_bound", (-1,)),
-    ("phi_derivative", (-1, T)),
-    ("phi_derivative", (1, -INF)),
-    ("taylor_at", (T, -1)),
-    ("taylor_at", (INF, 2)),
-    ("transform_product", (0.5, 0)),
-    ("transform_series", (0.5, -1)),
-    ("transform_pole_product", (0.5, 0)),
-    ("fourier_coefficients", (0,)),
-    ("translate_sum", (0.25, 0, (0.5,))),
-    ("poisson_check", (0.25,)),
-    ("mc_phi", (0.5, 10)),
+    ("Dyadic", (1, -1), "negative exponents are not stored; shift the numerator"),
+    ("canonical_dyadic", (1, -1), "negative shift count"),
+    ("val2", (0,), "2-adic valuation is undefined for m < 1"),
+    ("partition_polynomial", (-1,), "n must be >= 0"),
+    ("restricted_partitions", (-1,), "m must be >= 0"),
+    ("step_function", (-1,), "n must be >= 0"),
+    ("series_coefficients", (-1,), N_MAX),
+    ("series_integer_numerators", (-1,), N_MAX),
+    ("exp_moment_coefficients", (-1,), N_MAX),
+    ("exp_moment_integer_numerators", (-1,), N_MAX),
+    ("moment", (-1,), "moment order must be >= 0"),
+    ("phi_near_one", (0,), "phi_near_one requires n >= 1"),
+    ("phi_near_one_from_series", (-1,), "m must be >= 0"),
+    ("phi_exact", (Fraction(1, 3),), "1/3 is not a dyadic rational"),
+    ("phi_exact", (INF,), NOT_A_RATIO),
+    ("phi_exact_raw", (1, -1), LEVEL),
+    ("phi_exact_raw", (4, 2), "phi_exact_raw requires |q| < 2^n"),
+    ("level_numerators", (-1,), LEVEL),
+    ("level_denominator_bound", (-1,), LEVEL),
+    ("phi_derivative", (-1, T), "derivative order must be >= 0"),
+    ("phi_derivative", (1, -INF), NOT_A_RATIO),
+    ("taylor_at", (T, -1), "max_order must be >= 0"),
+    ("taylor_at", (T, 1000001), "taylor order must be at most 1000000"),
+    ("taylor_at", (INF, 2), NOT_A_RATIO),
+    ("taylor_at", (Dyadic(3, 1), 2), "Taylor centers must lie in [-1, 1]"),
+    ("transform_product", (0.5, 0), M_MAX),
+    ("transform_series", (0.5, -1), "terms must be >= 0"),
+    ("transform_pole_product", (0.5, 0), M_MAX),
+    ("fourier_coefficients", (0,), "K must be >= 1"),
+    ("translate_sum", (0.25, 0, (0.5,)), "u must be > 0"),
+    ("poisson_check", (0.25,), "poisson_check requires 1/2 <= a <= 1"),
+    ("mc_phi", (0.5, 10), "mc_phi requires x in [-1, 0]"),
+    ("mc_phi", (-0.5, 0), SAMPLES),
+    ("mc_phi", (-0.5, 10**8 + 1), SAMPLES),
+    ("mc_phi", (-0.5, 10, 4), DEPTH),
+    ("mc_phi", (-0.5, 10, 65), DEPTH),
+    ("mc_phi", (-0.5, 10, 40, -1), "seed must fit in 64 bits"),
 ]
 
 # public callables with no input to reject, each with the reason
@@ -58,19 +76,20 @@ EXEMPT = (
 
 # a name's first row is identified by the name, any further row by its arguments too
 IDS = [
-    name if [n for n, _ in REJECTED].index(name) == i else f"{name}{args}"
-    for i, (name, args) in enumerate(REJECTED)
+    name if [n for n, _, _ in REJECTED].index(name) == i else f"{name}{args}"
+    for i, (name, args, _) in enumerate(REJECTED)
 ]
 
 
-@pytest.mark.parametrize("name,args", REJECTED, ids=IDS)
-def test_rejects(name, args):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("name,args,message", REJECTED, ids=IDS)
+def test_rejects(name, args, message):
+    with pytest.raises(ValueError) as caught:
         getattr(fabius, name)(*args)
+    assert str(caught.value) == message
 
 
 def test_every_public_callable_is_listed():
-    listed = {name for name, _ in REJECTED} | {name for name, _ in EXEMPT}
+    listed = {name for name, _, _ in REJECTED} | {name for name, _ in EXEMPT}
     public = {name for name in fabius.__all__ if callable(getattr(fabius, name))}
     assert public - listed == set(), "neither rejected nor exempt"
     assert listed - public == set(), "not a public callable"
@@ -194,19 +213,32 @@ def _pattern(message: ast.expr) -> str:
     return "".join(re.escape(p.value) if isinstance(p, ast.Constant) else ".+" for p in parts)
 
 
-def test_every_cli_rejection_has_a_row():
+def _without_row(module, messages) -> list[str]:
+    # each `raise ValueError(message)` in the module's source whose message
+    # matches none of the messages
     sites = [
         node.exc.args[0]
-        for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
         if isinstance(node, ast.Raise)
         and isinstance(node.exc, ast.Call)
         and getattr(node.exc.func, "id", None) == "ValueError"
     ]
-    lines = [message for _, message in CLI_REJECTED if not isinstance(message, Usage)]
-    missing = [
+    assert sites, module.__name__
+    return [
         ast.unparse(site)
         for site in sites
-        if not any(re.fullmatch(_pattern(site), line) for line in lines)
+        if not any(re.fullmatch(_pattern(site), message) for message in messages)
     ]
-    assert sites
-    assert missing == [], "a CLI rejection with no row"
+
+
+def test_every_cli_rejection_has_a_row():
+    lines = [message for _, message in CLI_REJECTED if not isinstance(message, Usage)]
+    assert _without_row(cli, lines) == [], "a CLI rejection with no row"
+
+
+def test_every_library_rejection_has_a_row():
+    messages = [message for _, _, message in REJECTED]
+    missing = {
+        layer: _without_row(getattr(fabius, layer), messages) for layer in fabius._LAYERS
+    }
+    assert missing == dict.fromkeys(fabius._LAYERS, []), "a library rejection with no row"
