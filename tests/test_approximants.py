@@ -128,6 +128,10 @@ class TestRestrictedPartitions:
         for n in range(0, 6):
             assert restricted_partitions(n) == partition_polynomial(n)
 
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            restricted_partitions(-1)
+
 
 class TestStepFunction:
     def test_level_zero(self):

@@ -93,6 +93,9 @@ class TestSeriesCoefficients:
     def test_all_positive(self):
         assert all(ck > 0 for ck in series_coefficients(N))
 
+    def test_integer_numerators(self):
+        assert series_integer_numerators(4) == (1, 1, 19, 2915, 2788989)
+
     def test_integer_numerators_literal_normaliser(self):
         # the store's integers against its values times
         # F_k / c_k = (2k+1)!! * prod_{1<=j<=k} (4^j - 1), written out
@@ -126,6 +129,9 @@ class TestExpMomentCoefficients:
                 d[k] / (factorial(k) * factorial(n - k + 1)) for k in range(n + 1)
             )
             assert lhs == rhs
+
+    def test_integer_numerators(self):
+        assert exp_moment_integer_numerators(3) == (1, 1, 5, 84)
 
     def test_integer_numerators_literal_normaliser(self):
         # the store's integers against its values times
@@ -184,6 +190,10 @@ class TestPhiNearOne:
         # m = 149 is n = 299, next to the coeffs cap; both routes read the stores
         for m in [*range(8), 100, 149]:
             assert phi_near_one(2 * m + 1) == phi_near_one_from_series(m)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            phi_near_one(0)
 
 
 class TestStore:

@@ -71,6 +71,10 @@ class TestVal2:
         ways = sum(1 for h in range(m.bit_length()) if m % (1 << h) == 0)
         assert ways == 1 + val2(m)
 
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            val2(0)
+
 
 class TestDyadic:
     @pytest.mark.parametrize(
@@ -84,6 +88,10 @@ class TestDyadic:
     def test_truth_is_nonzero(self):
         assert bool(Dyadic(0, 5)) is False
         assert bool(Dyadic(-3, 2)) is True
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            Dyadic(1, -1)
 
     @given(st.integers(min_value=-(2**40), max_value=2**40), st.integers(min_value=0, max_value=40))
     def test_fraction_roundtrip(self, num, exp):

@@ -155,6 +155,12 @@ class TestPhiExact:
         assert phi_exact(0) == 1
         assert phi_exact(2) == 0
 
+    def test_non_dyadic_rejected(self):
+        with pytest.raises(ValueError):
+            phi_exact(Fraction(1, 3))
+        with pytest.raises(ValueError):
+            theta_exact(Fraction(2, 7))
+
 
 class TestRawFormula:
     def test_examples(self):
@@ -324,6 +330,10 @@ class TestLevelValues:
                 for q, a in enumerate(numerators)
             ]
 
+    def test_negative_level_rejected(self):
+        with pytest.raises(ValueError):
+            level_numerators(-1)
+
     def test_cold_level_builds_one_plan(self):
         _level_plan.cache_clear()
         level_numerators(10)
@@ -370,6 +380,22 @@ class TestIdentities:
             step = 1 << (n - j)
             for r in range(step):
                 assert sum(values[r::step]) == d << j
+
+    def test_functional_equation_exact(self):
+        for q in range(-64, 65):
+            t = Dyadic(q, 6)
+            lhs = phi_derivative(1, t)
+            rhs = 2 * (phi_exact(t.mul_pow2(1) + 1) - phi_exact(t.mul_pow2(1) - 1))
+            assert lhs == rhs
+
+    def test_evenness(self):
+        for q in range(0, 129):
+            assert phi_exact(Dyadic(q, 7)) == phi_exact(Dyadic(-q, 7))
+
+    def test_reflection(self):
+        for q in range(0, 129):
+            t = Dyadic(q, 7)
+            assert phi_exact(t) + phi_exact(t - 1) == 1
 
     @staticmethod
     def _assert_taylor_symmetries(q, n, order):
@@ -474,6 +500,14 @@ class TestDerivatives:
                     - phi_derivative(k, t.mul_pow2(1) - 1)
                 )
                 assert lhs == rhs
+
+    def test_non_analyticity_witness(self):
+        for n in range(1, 7):
+            for q in range(-(1 << n) + 1, 1 << n, 2):
+                t = Dyadic(q, n)
+                assert abs(phi_derivative(n, t)) == 1 << (n * (n + 1) // 2)
+                for k in range(n + 1, n + 11):
+                    assert phi_derivative(k, t) == 0
 
     @pytest.mark.parametrize("n", range(6))
     def test_matches_theta_scaling_at_every_order(self, n):

@@ -119,6 +119,10 @@ class TestPoleProduct:
 
 
 class TestFourierCoefficients:
+    def test_thue_morse_signs(self, fc):
+        for k in range(16):
+            assert (fc[k] > 0) == (thue_morse_sign(k) > 0)
+
     def test_signs_hold_above_tolerance(self, fc):
         for k, ak in enumerate(fc):
             if abs(ak) > 1e-10:
@@ -142,6 +146,13 @@ class TestPhiFourier:
 
     def test_against_exact_value(self, fc):
         assert abs(phi_fourier(0.75, fc) - 5 / 72) <= 1e-10
+
+    def test_grid_agreement(self, fc):
+        worst = max(
+            abs(phi_fourier(q / 32, fc) - float(phi_exact(Dyadic(q, 5))))
+            for q in range(-32, 33)
+        )
+        assert worst <= 1e-10
 
     # phi_enclosure at n = 10 pins phi within 7e-25, so these compare the
     # synthesis with phi itself off the q/32 grid, where aliased terms
@@ -192,3 +203,7 @@ class TestLatticeIdentities:
         lhs, rhs = poisson_check(a)
         assert lhs == a + 2 * a * float(phi_exact(Fraction(a)))
         assert abs(lhs - rhs) <= 1e-14
+
+    def test_poisson_domain(self):
+        with pytest.raises(ValueError):
+            poisson_check(0.3)

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from fabius import stochastic
+from fabius.core import Dyadic
+from fabius.exact import phi_exact
 from fabius.stochastic import (
     BLOCK_SIZE,
     MAX_DEPTH,
@@ -23,6 +25,11 @@ SEED = 1234
 
 
 class TestDeterminism:
+    def test_identical_runs(self):
+        a = mc_phi(-0.5, 50_000, 40, SEED)
+        b = mc_phi(-0.5, 50_000, 40, SEED)
+        assert a == b
+
     def test_block_counts_are_position_independent(self):
         # block i depends only on (seed, i); a run over several blocks is the
         # sum of standalone block counts, which is what makes worker-parallel
@@ -317,8 +324,25 @@ class TestBoundaries:
         assert est.estimate == 0.0
         assert est.stderr == 0.0
 
+    def test_midpoint(self):
+        est = mc_phi(-0.5, 200_000, 40, SEED)
+        assert abs(est.estimate - 0.5) <= 4 * est.stderr
+
 
 class TestAgreement:
+    @pytest.mark.parametrize(
+        "x,target",
+        [
+            (-0.75, Fraction(5, 72)),
+            (-0.5, Fraction(1, 2)),
+            (-0.25, Fraction(67, 72)),
+        ],
+    )
+    def test_matches_exact_values(self, x, target):
+        assert phi_exact(Dyadic.from_fraction(Fraction(x))) == target
+        est = mc_phi(x, 200_000, 40, SEED)
+        assert abs(est.estimate - float(target)) <= 4 * est.stderr
+
     @pytest.mark.parametrize("x", [-1 / 3, -0.3, -0.123456789])
     def test_matches_enclosure_off_grid(self, x):
         value, bound = phi_enclosure(Fraction(x), 10)
