@@ -78,8 +78,8 @@ class Dyadic:
             return value
         try:
             value = Fraction(value)
-        except OverflowError as exc:  # +-inf; NaN raises ValueError itself
-            raise ValueError(str(exc)) from None
+        except OverflowError:  # +-inf; NaN raises ValueError itself
+            raise ValueError("cannot convert Infinity to integer ratio") from None
         den = value.denominator
         if den & (den - 1):
             raise ValueError(f"{value} is not a dyadic rational")

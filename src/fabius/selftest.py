@@ -109,7 +109,8 @@ def criterion_2_integer_numerators():
 @_criterion("derivative functional equation on q/2^6")
 def criterion_3_functional_equation():
     bad = 0
-    for q in range(-64, 65):
+    points = range(-64, 65)
+    for q in points:
         t = Dyadic(q, 6)
         lhs = exact.phi_derivative(1, t)
         rhs = 2 * (
@@ -117,19 +118,20 @@ def criterion_3_functional_equation():
         )
         if lhs != rhs:
             bad += 1
-    return bad == 0, f"129 points, {bad} mismatches"
+    return bad == 0, f"{len(points)} points, {bad} mismatches"
 
 
 @_criterion("reflection and evenness on q/2^10")
 def criterion_4_reflection_evenness():
     bad = 0
-    for q in range(0, 1025):
+    points = range(0, 1025)
+    for q in points:
         t = Dyadic(q, 10)
         if exact.phi_exact(t) + exact.phi_exact(t - 1) != 1:
             bad += 1
         if exact.phi_exact(t) != exact.phi_exact(-t):
             bad += 1
-    return bad == 0, f"1025 points, {bad} mismatches"
+    return bad == 0, f"{len(points)} points, {bad} mismatches"
 
 
 @_criterion("moment route equality and phi(1-1/8) = 1/288")

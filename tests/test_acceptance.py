@@ -128,11 +128,13 @@ def test_criterion_6_reports_violations(monkeypatch):
             return 2 * derivative(k, t)  # leading derivative off its 2^C(n+1,2)
         if (k, t) == (5, Dyadic(-3, 2)):
             return Fraction(1)  # nonzero above order n
+        if (k, t) == (2, Dyadic(1, 1)):
+            return Fraction(1)  # nonzero at order n + 1, the first that vanishes
         return derivative(k, t)
 
     monkeypatch.setattr(exact, "phi_derivative", broken)
     result = selftest.criterion_6_derivative_cascade()
-    assert (result.passed, result.detail) == (False, "126 centers, 2 violations")
+    assert (result.passed, result.detail) == (False, "126 centers, 3 violations")
 
 
 def test_criterion_8_reports_every_convergence_problem(monkeypatch):
@@ -215,6 +217,35 @@ def test_criterion_7_tolerance(monkeypatch, scale):
     result = selftest.criterion_7_spectral_agreement()
     assert (result.passed, result.detail) == (
         scale < 1, f"max err {error:.2e}, first 16 signs ok"
+    )
+
+
+@INSIDE_OR_PAST
+def test_criterion_8_tolerance(monkeypatch, scale):
+    # every step function is exact at t = 0, so phi raised there deviates from
+    # each by the error, and the envelope's first term, at m = 3, is larger
+    error = scale / 50
+    value = exact.phi_exact
+    monkeypatch.setattr(exact, "phi_exact", lambda t: value(t) + (error if t == 0 else 0))
+    result = selftest.criterion_8_step_convergence()
+    envelope = "envelope 0.072591" + f", {error:.6f}" * 5
+    assert (result.passed, result.detail) == (
+        (True, envelope)
+        if scale < 1
+        else (False, f"{envelope}; m=8 deviation {error:.6f} >= 0.02")
+    )
+
+
+@INSIDE_OR_PAST
+def test_criterion_9_tolerance(monkeypatch, scale):
+    # _exact_mc's stderr is 1e-3, so the estimate at x = -0.75 may be 4e-3 off
+    shift = scale * 4e-3
+    _exact_mc(monkeypatch, [shift, 0.0, 0.0, 0.0])
+    result = selftest.criterion_9_monte_carlo()
+    assert (result.passed, result.detail) == (
+        (True, "3 points within 4 stderr")
+        if scale < 1
+        else (False, f"x=-0.75: |{5 / 72 + shift:.6f} - {5 / 72:.6f}| > 4 stderr")
     )
 
 

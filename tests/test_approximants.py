@@ -61,12 +61,6 @@ def geometric_block_product(n: int) -> tuple[int, ...]:
 
 
 class TestPartitionPolynomial:
-    @pytest.mark.parametrize(
-        "n,coeffs", [(0, (1,)), (1, (1, 1)), (2, (1, 2, 2, 2, 1))]
-    )
-    def test_small_cases(self, n, coeffs):
-        assert partition_polynomial(n) == coeffs
-
     def test_equals_block_factorization(self):
         for n in range(0, 9):
             assert partition_polynomial(n) == geometric_block_product(n)

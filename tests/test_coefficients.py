@@ -74,15 +74,6 @@ def assert_prefixes(prefixes):
 
 
 class TestSeriesCoefficients:
-    def test_base_case(self):
-        assert series_coefficients(0) == (Fraction(1),)
-
-    def test_hand_solved_values(self):
-        c = series_coefficients(2)
-        # k = 1: 12 c_1 = 1 + 3 c_1
-        assert c[1] == Fraction(1, 9)
-        assert c[2] == Fraction(19, 675)
-
     def test_defining_recurrence(self, empty_store):
         # out of order, so the shorter prefixes are read from the grown store
         # and the longest grows it again from index 41
@@ -92,9 +83,6 @@ class TestSeriesCoefficients:
 
     def test_all_positive(self):
         assert all(ck > 0 for ck in series_coefficients(N))
-
-    def test_integer_numerators(self):
-        assert series_integer_numerators(4) == (1, 1, 19, 2915, 2788989)
 
     def test_integer_numerators_literal_normaliser(self):
         # the store's integers against its values times
@@ -110,10 +98,6 @@ class TestSeriesCoefficients:
 
 
 class TestExpMomentCoefficients:
-    def test_hand_solved_values(self):
-        d = exp_moment_coefficients(3)
-        assert d == (Fraction(1), Fraction(1, 2), Fraction(5, 18), Fraction(1, 6))
-
     def test_defining_recurrence(self, empty_store):
         prefixes = [exp_moment_coefficients(n) for n in (40, 10, 25, 100)]
         assert [len(p) for p in prefixes] == [41, 11, 26, 101]
@@ -130,9 +114,6 @@ class TestExpMomentCoefficients:
             )
             assert lhs == rhs
 
-    def test_integer_numerators(self):
-        assert exp_moment_integer_numerators(3) == (1, 1, 5, 84)
-
     def test_integer_numerators_literal_normaliser(self):
         # the store's integers against its values times
         # G_n / d_n = (n+1)! * prod_{1<=k<=n} (2^k - 1), written out
@@ -147,13 +128,6 @@ class TestExpMomentCoefficients:
 
 
 class TestMoments:
-    @pytest.mark.parametrize(
-        "n,expected",
-        [(0, Fraction(1, 2)), (1, Fraction(5, 36)), (2, Fraction(1, 18))],
-    )
-    def test_small_moments(self, n, expected):
-        assert moment(n) == expected
-
     def test_even_route_equality(self):
         c = series_coefficients(N // 2)
         for m in range(N // 2 + 1):
@@ -177,15 +151,6 @@ class TestMoments:
 
 
 class TestPhiNearOne:
-    @pytest.mark.parametrize(
-        "n,expected",
-        [(1, Fraction(1, 2)), (2, Fraction(5, 72)), (3, Fraction(1, 288))],
-    )
-    def test_values(self, n, expected):
-        # n = 2 is 5/72: moment(1)/(1! * 2^1) = (5/36)/2, consistent with the
-        # level-5 table entry at q = 24
-        assert phi_near_one(n) == expected
-
     def test_odd_levels_match_series_route(self):
         # m = 149 is n = 299, next to the coeffs cap; both routes read the stores
         for m in [*range(8), 100, 149]:

@@ -1,14 +1,68 @@
-"""Every recorded CLI output, inline or in ``tests/data``, and the README example."""
+"""Every recorded library value and CLI output, and the README example."""
 
 import doctest
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import fabius
 from fabius.cli import main
+from fabius.core import Dyadic
+from fabius.exact import TaylorPolynomial
 
 ROOT = Path(__file__).parent.parent
 DATA = ROOT / "tests" / "data"
+
+# name, arguments, and the exact value the public callable returns
+RECORDED = [
+    ("phi_exact", (Dyadic(0, 0),), 1),
+    ("phi_exact", (Dyadic(31, 5),), Fraction(19, 33177600)),
+    ("phi_exact", (Dyadic(3, 2),), Fraction(5, 72)),
+    ("phi_exact", (Dyadic(-1, 0),), 0),
+    ("phi_exact", (Dyadic(1, 1),), Fraction(1, 2)),
+    ("phi_exact", (Dyadic(5, 1),), 0),
+    ("phi_exact", (Fraction(3, 4),), Fraction(5, 72)),  # a Fraction or an int for a Dyadic
+    ("phi_exact", (0,), 1),
+    ("phi_exact", (2,), 0),
+    ("phi_exact_raw", (0, 1), 1),
+    ("phi_exact_raw", (-1, 1), Fraction(1, 2)),
+    ("phi_exact_raw", (3, 2), Fraction(5, 72)),
+    ("phi_exact_raw", (-1, 0), 0),  # the empty sum at the left edge
+    ("phi_derivative", (1, Dyadic(-1, 1)), 2),
+    ("phi_derivative", (2, Dyadic(-3, 2)), 8),
+    ("phi_derivative", (5, Dyadic(0, 0)), 0),
+    ("phi_derivative", (0, Dyadic(3, 2)), Fraction(5, 72)),
+    ("phi_derivative", (3, Dyadic(5, 2)), 0),  # outside the support
+    ("taylor_at", (Dyadic(0, 0), 3), TaylorPolynomial(Dyadic(0, 0), (1, 0, 0, 0))),
+    # degree 1: odd numerator at level 1
+    ("taylor_at", (Dyadic(-1, 1), 2), TaylorPolynomial(Dyadic(-1, 1), (Fraction(1, 2), 2, 0))),
+    ("taylor_at", (Dyadic(-1, 0), 5), TaylorPolynomial(Dyadic(-1, 0), (0,) * 6)),  # support edge
+    ("series_coefficients", (0,), (1,)),
+    # k = 1: 12 c_1 = 1 + 3 c_1
+    ("series_coefficients", (2,), (1, Fraction(1, 9), Fraction(19, 675))),
+    ("exp_moment_coefficients", (3,), (1, Fraction(1, 2), Fraction(5, 18), Fraction(1, 6))),
+    ("moment", (0,), Fraction(1, 2)),
+    ("moment", (1,), Fraction(5, 36)),
+    ("moment", (2,), Fraction(1, 18)),
+    ("phi_near_one", (1,), Fraction(1, 2)),
+    # n = 2 is 5/72: moment(1)/(1! * 2^1) = (5/36)/2, consistent with the
+    # level-5 table entry at q = 24
+    ("phi_near_one", (2,), Fraction(5, 72)),
+    ("phi_near_one", (3,), Fraction(1, 288)),
+    ("partition_polynomial", (0,), (1,)),
+    ("partition_polynomial", (1,), (1, 1)),
+    ("partition_polynomial", (2,), (1, 2, 2, 2, 1)),
+    ("transform_product", (0.0,), 1.0),
+    ("transform_series", (0.0,), 1.0),
+]
+CALLS = [f"{name}({', '.join(map(repr, args))})" for name, args, _ in RECORDED]
+
+
+@pytest.mark.parametrize("name,args,value", RECORDED, ids=CALLS)
+def test_recorded_value(name, args, value):
+    assert getattr(fabius, name)(*args) == value
+
 
 # mc's one-line record for seeded runs: a change to which doubles a sample
 # adds, or in what order, shows here; 3 * 65536 + 777 samples end in a short

@@ -208,9 +208,15 @@ def test_cli_rejects_before_any_work(capsys, monkeypatch, argv, message):
 
 
 def _pattern(message: ast.expr) -> str:
-    # the fields of an f-string match any text
+    # the fields of an f-string match any text; a message built any other way
+    # matches none, so it has no row
     parts = message.values if isinstance(message, ast.JoinedStr) else [message]
-    return "".join(re.escape(p.value) if isinstance(p, ast.Constant) else ".+" for p in parts)
+    return "".join(
+        re.escape(p.value) if isinstance(p, ast.Constant)
+        else ".+" if isinstance(p, ast.FormattedValue)
+        else "(?!)"
+        for p in parts
+    )
 
 
 def _without_row(module, messages) -> list[str]:

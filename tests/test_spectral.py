@@ -39,9 +39,6 @@ def fc():
 
 
 class TestTransformProduct:
-    def test_normalization(self):
-        assert transform_product(0.0) == 1.0
-
     def test_zero_at_one(self):
         # the m = 1 factor cos(pi/2) is zero up to rounding
         assert abs(transform_product(1.0)) <= 1e-15
@@ -69,9 +66,6 @@ class TestTransformProduct:
 
 
 class TestTransformSeries:
-    def test_at_zero(self):
-        assert transform_series(0.0) == 1.0
-
     def test_cross_method_agreement(self):
         assert abs(transform_product(0.5, 60) - transform_series(0.5)) <= 1e-12
 
